@@ -48,6 +48,7 @@ impl CacheStats {
     }
 }
 
+/// Tag of an empty way. Line addresses must stay below it.
 const INVALID: u64 = u64::MAX;
 
 /// Replicates a byte into all eight lanes of a u64.
@@ -57,7 +58,8 @@ const HIGH: u64 = 0x8080_8080_8080_8080;
 
 /// SWAR byte-equality: returns a mask with bit `0x80` set in every byte
 /// lane where `word` equals `target` (the classic zero-byte trick over
-/// `word ^ target`).
+/// `word ^ target`). Only lanes above a true match can be flagged
+/// spuriously, so the lowest flagged lane is always a true match.
 #[inline]
 fn byte_eq_mask(word: u64, target: u64) -> u64 {
     let x = word ^ target;
@@ -76,11 +78,21 @@ fn byte_eq_mask(word: u64, target: u64) -> u64 {
 /// against the full tags, so partial collisions and padding lanes can
 /// never fake a hit.
 ///
+/// Replacement is true LRU kept as a per-set *recency order*: one byte
+/// per way, way indices listed from the MRU lane (lane 0) to the LRU
+/// lane. A hit finds its way's lane with one SWAR search and shifts the
+/// lanes in front of it back by one; the victim is read from the last
+/// lane. A line inserted at [`InsertPos::Lru`] is not moved in the order
+/// but marked in the set's *LRU-insert mask*; while any such line is
+/// resident, the lowest-indexed one is the victim. That is the rule of a
+/// per-way timestamp cache in which an LRU insert stamps 0 and the victim
+/// is the lowest-indexed way with the smallest stamp, and the order and
+/// mask reproduce its every choice.
+///
 /// All per-set state lives in one contiguous block of `meta` —
-/// `[partial words | tags row | stamps row]` — so one set visit touches
-/// one or two host cache lines instead of three scattered arrays. On the
-/// simulator's demand path the set visit is the unit of work, and the
-/// host-side locality of that block is what the layout buys.
+/// `[partial words | order words | LRU-insert mask | tags row]` — so one
+/// set visit touches one or two host cache lines instead of scattered
+/// arrays, and the words every visit reads and writes come first.
 #[derive(Clone, Debug)]
 pub struct Cache {
     sets: usize,
@@ -90,26 +102,23 @@ pub struct Cache {
     /// `log2(sets)`: partial tags are taken just above the set-index bits
     /// so lines of one set differ in their partials as early as possible.
     set_bits: u32,
-    /// u64 words of packed partial tags per set (`ways.div_ceil(8)`).
-    pwords: usize,
-    /// u64 words per set block: `pwords + 2 * ways`.
+    /// u64 words per byte-lane row (`ways.div_ceil(8)`): the partial
+    /// tags and the recency order each take this many.
+    lwords: usize,
+    /// u64 words per set block: `2 * lwords + 1 + ways`.
     stride: usize,
     /// Per-set metadata blocks. Set `s` occupies
-    /// `meta[s * stride .. (s + 1) * stride]`: first `pwords` words of
-    /// packed partial tags (0xFF per invalid or padding lane), then the
-    /// `ways` full tags (line address or `INVALID`), then the `ways` LRU
-    /// stamps. A tag at `meta[i]` has its stamp at `meta[i + ways]`.
+    /// `meta[s * stride .. (s + 1) * stride]`: first `lwords` words of
+    /// packed partial tags (0xFF per invalid or padding lane), then
+    /// `lwords` words of recency order (way indices, MRU lane first, 0xFF
+    /// per padding lane), then the LRU-insert mask (bit `w` set while way
+    /// `w` holds a line inserted at LRU and not touched since), then the
+    /// `ways` full tags (line address or `INVALID`).
     meta: Vec<u64>,
     /// Number of `INVALID` entries across all sets. Zero (the steady
     /// state once every way has filled) lets fills skip the invalid-way
     /// scan outright.
     invalid_count: usize,
-    tick: u64,
-    /// MRU short-circuit: the line and tag index of the last hit. The
-    /// slot is re-verified against the tag on use, so intervening fills
-    /// and invalidations can never fake a hit.
-    last_line: u64,
-    last_slot: usize,
     stats: CacheStats,
 }
 
@@ -118,48 +127,54 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if `sets` is not a power of two or `ways` is zero.
+    /// Panics if `sets` is not a power of two or `ways` is not in
+    /// `1..=64` (the LRU-insert mask holds one bit per way).
     pub fn new(config: CacheConfig) -> Self {
         assert!(config.sets.is_power_of_two(), "sets must be a power of two");
-        assert!(config.ways > 0, "ways must be nonzero");
-        let pwords = config.ways.div_ceil(8);
-        let stride = pwords + 2 * config.ways;
-        let mut meta = vec![0u64; config.sets * stride];
-        for set in 0..config.sets {
-            let sb = set * stride;
-            // 0xFF in every partial lane: the partial of INVALID,
-            // including the padding lanes past `ways`.
-            meta[sb..sb + pwords].fill(u64::MAX);
-            meta[sb + pwords..sb + pwords + config.ways].fill(INVALID);
-            // Stamps stay zero.
+        assert!(
+            (1..=64).contains(&config.ways),
+            "ways must be between 1 and 64"
+        );
+        let ways = config.ways;
+        let lwords = ways.div_ceil(8);
+        let stride = 2 * lwords + 1 + ways;
+        let mut block = vec![u64::MAX; stride];
+        // Partial words: 0xFF in every lane, the partial of INVALID,
+        // including the padding lanes past `ways`. Order: ways 0, 1, …
+        // from the MRU lane, 0xFF in padding lanes. No LRU-inserted
+        // lines. Tags: all INVALID.
+        for way in 0..ways {
+            let word = lwords + way / 8;
+            let shift = (way % 8) * 8;
+            block[word] &= !(0xFFu64 << shift);
+            block[word] |= (way as u64) << shift;
         }
+        block[2 * lwords] = 0;
         Cache {
             sets: config.sets,
-            ways: config.ways,
+            ways,
             set_mask: config.sets - 1,
             set_bits: config.sets.trailing_zeros(),
-            pwords,
+            lwords,
             stride,
-            meta,
-            invalid_count: config.sets * config.ways,
-            tick: 0,
-            last_line: INVALID,
-            last_slot: 0,
+            meta: block.repeat(config.sets),
+            invalid_count: config.sets * ways,
             stats: CacheStats::default(),
         }
     }
 
+    /// Index within `meta` of the block of the set `line` maps to.
     #[inline]
-    fn set_of(&self, line: u64) -> usize {
-        (line as usize) & self.set_mask
+    fn block_of(&self, line: u64) -> usize {
+        debug_assert_ne!(line, INVALID, "line address reserved for empty ways");
+        ((line as usize) & self.set_mask) * self.stride
     }
 
-    /// Index of the first *tag* word of `set` within `meta` (the set's
-    /// partial words sit at `tag_base - pwords`, its stamps at
-    /// `tag_base + ways`).
+    /// Index within `meta` of the LRU-insert mask of set block `sb`; the
+    /// recency order sits just before it, the tags row just after.
     #[inline]
-    fn tag_base(&self, set: usize) -> usize {
-        set * self.stride + self.pwords
+    fn mask_at(&self, sb: usize) -> usize {
+        sb + 2 * self.lwords
     }
 
     /// The 8-bit partial tag of a line: the bits just above the set index.
@@ -168,237 +183,206 @@ impl Cache {
         (line >> self.set_bits) as u8
     }
 
-    /// Writes the partial tag for `(set, way)` to match `tag`.
-    #[inline]
-    fn store_partial(&mut self, set: usize, way: usize, tag: u64) {
-        let word = set * self.stride + way / 8;
+    // The set-visit helpers below, and `lookup_or_fill`, are forced
+    // inline: left to the compiler, `place` and `lookup_or_fill` stayed
+    // out-of-line calls on every access, which measured 6% and 9% slower
+    // end to end on the `perfbench` `solo` workload.
+
+    /// Writes the full and partial tags of `way` in set block `sb`.
+    #[inline(always)]
+    fn store_tag(&mut self, sb: usize, way: usize, tag: u64) {
+        let slot = self.mask_at(sb) + 1 + way;
+        self.meta[slot] = tag;
+        let word = sb + way / 8;
         let shift = (way % 8) * 8;
         self.meta[word] &= !(0xFFu64 << shift);
         self.meta[word] |= u64::from(self.partial_of(tag)) << shift;
     }
 
-    /// Word-parallel way scan: the way holding `line` in `set`, if any.
-    /// Candidate lanes from the SWAR partial match are verified against
-    /// the full tags, so collisions and padding lanes never fake a hit.
-    #[inline]
-    fn find_way(&self, set: usize, line: u64) -> Option<usize> {
-        let sb = set * self.stride;
-        let base = sb + self.pwords;
-        let target = u64::from(self.partial_of(line)) * LANES;
-        for (w, &word) in self.meta[sb..sb + self.pwords].iter().enumerate() {
+    /// The way in set block `sb` whose full tag is `tag`, if any: the
+    /// SWAR partial match proposes candidate lanes in ascending order and
+    /// the full tag decides, so collisions and padding lanes never match.
+    #[inline(always)]
+    fn find_tag(&self, sb: usize, tag: u64) -> Option<usize> {
+        let tags = self.mask_at(sb) + 1;
+        let target = u64::from(self.partial_of(tag)) * LANES;
+        for (w, &word) in self.meta[sb..sb + self.lwords].iter().enumerate() {
             let mut m = byte_eq_mask(word, target);
             while m != 0 {
                 let way = w * 8 + (m.trailing_zeros() as usize >> 3);
-                if way < self.ways && self.meta[base + way] == line {
+                if way < self.ways && self.meta[tags + way] == tag {
                     return Some(way);
                 }
                 m &= m - 1;
             }
         }
         None
+    }
+
+    /// Moves `way` to the MRU lane of set block `sb`'s recency order,
+    /// shifting every lane in front of it back by one. One SWAR search
+    /// finds the word holding `way`; the words before it shift whole,
+    /// carrying their last lane into the next word's first.
+    #[inline(always)]
+    fn promote(&mut self, sb: usize, way: usize) {
+        let order = sb + self.lwords;
+        let target = way as u64 * LANES;
+        let mut carry = way as u64;
+        for word in &mut self.meta[order..order + self.lwords] {
+            let m = byte_eq_mask(*word, target);
+            let shifted = (*word << 8) | carry;
+            if m != 0 {
+                // Lanes up to and including `way`'s take the shifted
+                // values; the lanes behind it keep theirs.
+                let keep = u64::MAX >> (63 - m.trailing_zeros());
+                *word = (shifted & keep) | (*word & !keep);
+                return;
+            }
+            carry = *word >> 56;
+            *word = shifted;
+        }
+        unreachable!("way {way} missing from its set's recency order");
+    }
+
+    /// Records a touch of `way` in set block `sb`: an MRU touch promotes
+    /// it and clears its LRU-insert mark, an LRU insert marks it and
+    /// leaves the order alone.
+    #[inline(always)]
+    fn place(&mut self, sb: usize, way: usize, pos: InsertPos) {
+        let mask = self.mask_at(sb);
+        match pos {
+            InsertPos::Mru => {
+                self.promote(sb, way);
+                // Most sets hold no LRU-inserted line; skipping the store
+                // then keeps the hit path to one write.
+                if self.meta[mask] != 0 {
+                    self.meta[mask] &= !(1u64 << way);
+                }
+            }
+            InsertPos::Lru => self.meta[mask] |= 1u64 << way,
+        }
+    }
+
+    /// The way to fill in set block `sb`: the first invalid way if any,
+    /// else the lowest-indexed LRU-inserted way if any, else the way in
+    /// the LRU lane.
+    #[inline(always)]
+    fn victim(&self, sb: usize) -> usize {
+        if self.invalid_count != 0 {
+            if let Some(way) = self.find_tag(sb, INVALID) {
+                return way;
+            }
+        }
+        let inserted = self.meta[self.mask_at(sb)];
+        if inserted != 0 {
+            return inserted.trailing_zeros() as usize;
+        }
+        let last = self.ways - 1;
+        let word = self.meta[sb + self.lwords + last / 8];
+        usize::from((word >> ((last % 8) * 8)) as u8)
+    }
+
+    /// The miss path of [`Self::fill`] and [`Self::lookup_or_fill`]:
+    /// installs absent `line` in set block `sb` at `pos`. Returns the
+    /// displaced tag (`INVALID` if the way was empty).
+    fn install(&mut self, sb: usize, line: u64, pos: InsertPos) -> u64 {
+        self.stats.fills += 1;
+        let way = self.victim(sb);
+        let evicted = self.meta[self.mask_at(sb) + 1 + way];
+        self.store_tag(sb, way, line);
+        self.place(sb, way, pos);
+        if evicted == INVALID {
+            self.invalid_count -= 1;
+        } else {
+            self.stats.evictions += 1;
+        }
+        evicted
+    }
+
+    /// The hit path of [`Self::lookup`] and [`Self::lookup_or_fill`]:
+    /// promotes `line` if it is resident in set block `sb`.
+    #[inline(always)]
+    fn promote_if_present(&mut self, sb: usize, line: u64) -> bool {
+        match self.find_tag(sb, line) {
+            Some(way) => {
+                self.place(sb, way, InsertPos::Mru);
+                true
+            }
+            None => false,
+        }
     }
 
     /// Looks up a line; on hit promotes it to MRU. Returns whether it hit.
     #[inline]
     pub fn lookup(&mut self, line: u64) -> bool {
-        self.tick += 1;
-        // MRU short-circuit: repeated hits on the same line (the common
-        // case for L1 under straight-line code) skip the way scan. The
-        // re-stamp keeps true-LRU state exactly as the scan would.
-        if line == self.last_line && self.meta[self.last_slot] == line {
-            self.meta[self.last_slot + self.ways] = self.tick;
+        let hit = self.promote_if_present(self.block_of(line), line);
+        if hit {
             self.stats.hits += 1;
-            return true;
+        } else {
+            self.stats.misses += 1;
         }
-        let set = self.set_of(line);
-        // Word-parallel scan: one u64 of packed partial tags covers eight
-        // ways, so even a wide (LLC) set is a couple of word compares.
-        if let Some(way) = self.find_way(set, line) {
-            let slot = self.tag_base(set) + way;
-            self.meta[slot + self.ways] = self.tick;
-            self.stats.hits += 1;
-            self.last_line = line;
-            self.last_slot = slot;
-            return true;
-        }
-        self.stats.misses += 1;
-        false
+        hit
     }
 
     /// Fused miss-and-fill: exactly [`Self::lookup`] followed, on a miss,
     /// by [`Self::fill`]`(line, pos)` — in one set visit instead of two.
-    /// Returns whether the lookup hit. Ticks, stamps, statistics, victim
-    /// choice, and the MRU slot all evolve bit-identically to the
-    /// unfused pair; only the duplicate way scan is gone. The hierarchy
-    /// uses this on its demand path, where every miss is followed by a
-    /// fill of the same line.
-    #[inline]
+    /// Returns whether the lookup hit. The hierarchy uses this on its
+    /// demand path, where every miss is followed by a fill of the same
+    /// line.
+    #[inline(always)]
     pub fn lookup_or_fill(&mut self, line: u64, pos: InsertPos) -> bool {
-        self.tick += 1;
-        if line == self.last_line && self.meta[self.last_slot] == line {
-            self.meta[self.last_slot + self.ways] = self.tick;
+        let sb = self.block_of(line);
+        if self.promote_if_present(sb, line) {
             self.stats.hits += 1;
-            return true;
-        }
-        let set = self.set_of(line);
-        if let Some(way) = self.find_way(set, line) {
-            let slot = self.tag_base(set) + way;
-            self.meta[slot + self.ways] = self.tick;
-            self.stats.hits += 1;
-            self.last_line = line;
-            self.last_slot = slot;
             return true;
         }
         self.stats.misses += 1;
-        // The fill half: a second tick (as the standalone call would
-        // take), then victim choice and write. `line` is known absent, so
-        // the present-line re-stamp case cannot arise.
-        self.tick += 1;
-        self.stats.fills += 1;
-        let stamp = match pos {
-            InsertPos::Mru => self.tick,
-            InsertPos::Lru => 0,
-        };
-        let base = self.tag_base(set);
-        let victim = self
-            .first_invalid_way(set)
-            .unwrap_or_else(|| self.lru_way(base));
-        let slot = base + victim;
-        let evicted = self.meta[slot];
-        self.meta[slot] = line;
-        self.store_partial(set, victim, line);
-        self.meta[slot + self.ways] = stamp;
-        self.last_line = line;
-        self.last_slot = slot;
-        if evicted != INVALID {
-            self.stats.evictions += 1;
-        } else {
-            self.invalid_count -= 1;
-        }
+        self.install(sb, line, pos);
         false
-    }
-
-    /// The LRU victim of the set whose tag row starts at `base`: the
-    /// lowest-indexed way with the smallest stamp, exactly as a linear
-    /// scan with a `<` comparison would pick it. The selects compile to
-    /// conditional moves — stamp orderings are effectively random, so a
-    /// data-dependent branch here would mispredict constantly.
-    #[inline]
-    fn lru_way(&self, base: usize) -> usize {
-        let stamps = &self.meta[base + self.ways..base + 2 * self.ways];
-        let mut victim = 0usize;
-        let mut best = u64::MAX;
-        for (way, &when) in stamps.iter().enumerate() {
-            let take = when < best;
-            victim = if take { way } else { victim };
-            best = if take { when } else { best };
-        }
-        victim
     }
 
     /// Checks presence without updating LRU state or statistics.
     pub fn probe(&self, line: u64) -> bool {
-        let base = self.tag_base(self.set_of(line));
-        self.meta[base..base + self.ways].contains(&line)
-    }
-
-    /// First way whose full tag is `INVALID`, found through the partial
-    /// words: invalid ways hold partial 0xFF, so only 0xFF lanes need a
-    /// full-tag verify (a valid line whose partial happens to be 0xFF is
-    /// rejected there). Scan order is ascending way index, so the choice
-    /// matches a linear scan of `tags` exactly.
-    #[inline]
-    fn first_invalid_way(&self, set: usize) -> Option<usize> {
-        if self.invalid_count == 0 {
-            // Steady state: every way everywhere is valid.
-            return None;
-        }
-        let sb = set * self.stride;
-        let base = sb + self.pwords;
-        for (w, &word) in self.meta[sb..sb + self.pwords].iter().enumerate() {
-            let mut m = byte_eq_mask(word, u64::MAX);
-            while m != 0 {
-                let way = w * 8 + (m.trailing_zeros() as usize >> 3);
-                if way < self.ways && self.meta[base + way] == INVALID {
-                    return Some(way);
-                }
-                m &= m - 1;
-            }
-        }
-        None
+        let tags = self.mask_at(self.block_of(line)) + 1;
+        self.meta[tags..tags + self.ways].contains(&line)
     }
 
     /// Fills a line at the given insertion position, returning the evicted
     /// line if a valid one was displaced.
     ///
     /// Filling a line that is already present only adjusts its LRU
-    /// position.
-    ///
-    /// The scan never reads the full `tags` row: presence and invalid-way
-    /// detection go through the packed partials (full-tag verified per
-    /// candidate lane), and the LRU victim comes from `stamps` alone —
-    /// one hot partial word plus the stamp row instead of two full-width
-    /// rows. The victim choice is identical to the classic one-pass
-    /// tags+stamps formulation: first invalid way if any, else the
-    /// lowest-indexed way with the smallest stamp.
+    /// position. The victim is the first invalid way if any, else the
+    /// lowest-indexed line inserted at LRU and not touched since, else
+    /// the least recently used line.
     pub fn fill(&mut self, line: u64, pos: InsertPos) -> Option<u64> {
-        let set = self.set_of(line);
-        let base = self.tag_base(set);
-        self.tick += 1;
-        self.stats.fills += 1;
-        let stamp = match pos {
-            InsertPos::Mru => self.tick,
-            // LRU insert: older than everything currently in the set.
-            InsertPos::Lru => 0,
-        };
-        if let Some(way) = self.find_way(set, line) {
-            // Already present: re-stamp only.
-            self.meta[base + way + self.ways] = stamp;
-            self.last_line = line;
-            self.last_slot = base + way;
+        let sb = self.block_of(line);
+        if let Some(way) = self.find_tag(sb, line) {
+            self.stats.fills += 1;
+            self.place(sb, way, pos);
             return None;
         }
-        let victim = self
-            .first_invalid_way(set)
-            .unwrap_or_else(|| self.lru_way(base));
-        let slot = base + victim;
-        let evicted = self.meta[slot];
-        self.meta[slot] = line;
-        self.store_partial(set, victim, line);
-        self.meta[slot + self.ways] = stamp;
-        self.last_line = line;
-        self.last_slot = slot;
-        if evicted == INVALID {
-            self.invalid_count -= 1;
-            None
-        } else {
-            self.stats.evictions += 1;
-            Some(evicted)
-        }
+        let evicted = self.install(sb, line, pos);
+        (evicted != INVALID).then_some(evicted)
     }
 
     /// Invalidates a line if present; returns whether it was present.
     pub fn invalidate(&mut self, line: u64) -> bool {
-        let set = self.set_of(line);
-        let base = self.tag_base(set);
-        for way in 0..self.ways {
-            if self.meta[base + way] == line {
-                self.meta[base + way] = INVALID;
-                self.store_partial(set, way, INVALID);
-                self.invalid_count += 1;
-                return true;
-            }
-        }
-        false
+        let sb = self.block_of(line);
+        let Some(way) = self.find_tag(sb, line) else {
+            return false;
+        };
+        self.store_tag(sb, way, INVALID);
+        self.invalid_count += 1;
+        true
     }
 
     /// Counts valid lines whose address satisfies `pred` — used to measure
     /// per-process LLC occupancy (the quantity non-temporal hints reduce).
     pub fn occupancy_where(&self, pred: impl Fn(u64) -> bool) -> usize {
-        (0..self.sets)
-            .map(|set| {
-                let base = self.tag_base(set);
-                self.meta[base..base + self.ways]
+        self.meta
+            .chunks_exact(self.stride)
+            .map(|block| {
+                block[2 * self.lwords + 1..]
                     .iter()
                     .filter(|&&t| t != INVALID && pred(t))
                     .count()
@@ -479,16 +463,16 @@ mod tests {
     }
 
     #[test]
-    fn mru_short_circuit_never_fakes_a_hit() {
+    fn repeated_hits_stop_at_invalidation_and_eviction() {
         let mut c = tiny();
         c.fill(10, InsertPos::Mru);
-        assert!(c.lookup(10)); // primes the MRU slot
-        assert!(c.lookup(10)); // fast path
-                               // Invalidate the remembered line: the fast path must re-verify.
+        assert!(c.lookup(10));
+        assert!(c.lookup(10));
+        // Invalidating the line just hit must make the next lookup miss.
         c.invalidate(10);
         assert!(!c.lookup(10));
         // Evict by filling the set (lines 10, 0, 2 share set 0): a hit on
-        // the *replacement* line in the same slot must not leak line 10.
+        // the *replacement* line in the same way must not leak line 10.
         c.fill(0, InsertPos::Mru);
         c.fill(2, InsertPos::Mru);
         assert!(!c.lookup(10));
@@ -499,10 +483,10 @@ mod tests {
     }
 
     #[test]
-    fn mru_short_circuit_keeps_lru_order_exact() {
+    fn repeated_hits_keep_lru_order_exact() {
         let mut c = tiny();
-        // Set 0 holds lines 0 and 2; repeated fast-path hits on 0 must
-        // keep re-stamping it so 2 stays the LRU victim.
+        // Set 0 holds lines 0 and 2; repeated hits on 0 must keep it at
+        // MRU so 2 stays the LRU victim.
         c.fill(0, InsertPos::Mru);
         c.fill(2, InsertPos::Mru);
         for _ in 0..3 {
@@ -628,6 +612,45 @@ mod tests {
             ways: 2,
             hit_latency: 0,
         });
+    }
+
+    #[test]
+    #[should_panic(expected = "between 1 and 64")]
+    fn more_than_64_ways_rejected() {
+        let _ = Cache::new(CacheConfig {
+            sets: 2,
+            ways: 65,
+            hit_latency: 0,
+        });
+    }
+
+    #[test]
+    fn sixty_four_ways_keep_true_lru() {
+        // The widest geometry the LRU-insert mask allows: the order spans
+        // eight words and way 63 uses the mask's top bit.
+        let mut c = Cache::new(CacheConfig {
+            sets: 1,
+            ways: 64,
+            hit_latency: 0,
+        });
+        for line in 0..64u64 {
+            c.fill(line, InsertPos::Mru);
+        }
+        // Touch every line but 63, oldest first: 63 is now the LRU line.
+        for line in 0..63u64 {
+            assert!(c.lookup(line));
+        }
+        assert_eq!(c.fill(100, InsertPos::Lru), Some(63));
+        assert_eq!(
+            c.fill(101, InsertPos::Mru),
+            Some(100),
+            "the LRU insert goes first"
+        );
+        assert_eq!(
+            c.fill(102, InsertPos::Mru),
+            Some(0),
+            "then the least recently used line"
+        );
     }
 
     #[test]

@@ -90,7 +90,7 @@ impl MemorySystem {
         // Demand path with the prefetcher off (the default): every miss
         // at a level is followed by a fill of the same line at that
         // level, so each level's lookup and fill fuse into one set visit.
-        // Per-cache op sequences (ticks, stamps, stats, victim choices)
+        // Per-cache op sequences (recency orders, stats, victim choices)
         // are bit-identical to the unfused chain below — the caches share
         // no state, so reordering *across* levels changes nothing.
         if !self.prefetcher.enabled {

@@ -5,13 +5,106 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use machine::{
-    AccessKind, Cache, CacheConfig, CostModel, ExecContext, ExecEnv, InsertPos, MachineConfig,
-    MemorySystem, NtPolicy, PerfCounters,
+    AccessKind, Cache, CacheConfig, CacheStats, CostModel, ExecContext, ExecEnv, InsertPos,
+    MachineConfig, MemorySystem, NtPolicy, PerfCounters,
 };
 use visa::{Op, PReg};
 
 fn arb_insert() -> impl Strategy<Value = InsertPos> {
     prop_oneof![Just(InsertPos::Mru), Just(InsertPos::Lru)]
+}
+
+/// Reference for `Cache`'s replacement rule, kept with per-way
+/// timestamps instead of a recency order. Every touch stamps a fresh
+/// tick, except an LRU insert, which stamps 0. The victim is the first
+/// invalid way in ascending index, else the lowest-indexed way with the
+/// smallest stamp.
+struct StampCache {
+    sets: usize,
+    ways: usize,
+    tags: Vec<Option<u64>>,
+    stamps: Vec<u64>,
+    tick: u64,
+    stats: CacheStats,
+}
+
+impl StampCache {
+    fn new(sets: usize, ways: usize) -> Self {
+        StampCache {
+            sets,
+            ways,
+            tags: vec![None; sets * ways],
+            stamps: vec![0; sets * ways],
+            tick: 0,
+            stats: CacheStats::default(),
+        }
+    }
+
+    fn base(&self, line: u64) -> usize {
+        (line as usize % self.sets) * self.ways
+    }
+
+    fn find(&self, line: u64) -> Option<usize> {
+        let base = self.base(line);
+        (base..base + self.ways).find(|&i| self.tags[i] == Some(line))
+    }
+
+    fn lookup(&mut self, line: u64) -> bool {
+        self.tick += 1;
+        match self.find(line) {
+            Some(i) => {
+                self.stamps[i] = self.tick;
+                self.stats.hits += 1;
+                true
+            }
+            None => {
+                self.stats.misses += 1;
+                false
+            }
+        }
+    }
+
+    fn fill(&mut self, line: u64, pos: InsertPos) -> Option<u64> {
+        self.tick += 1;
+        self.stats.fills += 1;
+        let stamp = match pos {
+            InsertPos::Mru => self.tick,
+            InsertPos::Lru => 0,
+        };
+        if let Some(i) = self.find(line) {
+            self.stamps[i] = stamp;
+            return None;
+        }
+        let base = self.base(line);
+        let ways = base..base + self.ways;
+        let victim = ways
+            .clone()
+            .find(|&i| self.tags[i].is_none())
+            .or_else(|| ways.min_by_key(|&i| self.stamps[i]))
+            .expect("nonempty set");
+        let evicted = self.tags[victim].replace(line);
+        self.stamps[victim] = stamp;
+        if evicted.is_some() {
+            self.stats.evictions += 1;
+        }
+        evicted
+    }
+
+    fn lookup_or_fill(&mut self, line: u64, pos: InsertPos) -> bool {
+        let hit = self.lookup(line);
+        if !hit {
+            self.fill(line, pos);
+        }
+        hit
+    }
+
+    fn invalidate(&mut self, line: u64) -> bool {
+        self.find(line).map(|i| self.tags[i] = None).is_some()
+    }
+
+    fn probe(&self, line: u64) -> bool {
+        self.find(line).is_some()
+    }
 }
 
 proptest! {
@@ -86,6 +179,46 @@ proptest! {
                 } else if !present {
                     c.fill(line, pos);
                     prop_assert!(c.probe(line));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn replacement_matches_the_stamp_reference(
+        ops in vec((0u8..7, any::<u16>(), any::<bool>(), arb_insert()), 1..600),
+    ) {
+        // Differential test against `StampCache` on every geometry in
+        // use and the edges around the 8-lane word boundary. Lines come
+        // from about three times the capacity, so sets stay contended,
+        // and half of them add a bit above the 8-bit partial tag, so
+        // partial-tag collisions are common.
+        for sets in [1usize, 2, 4, 8] {
+            for ways in [1usize, 2, 3, 4, 5, 8, 9, 12, 16, 17, 24] {
+                let mut c = Cache::new(CacheConfig { sets, ways, hit_latency: 0 });
+                let mut r = StampCache::new(sets, ways);
+                let span = 3 * (sets * ways) as u64 + 1;
+                let line_of = |raw: u16, high: bool| (u64::from(raw) % span) | (u64::from(high) << 16);
+                let mut lines = Vec::new();
+                for (step, &(kind, raw, high, pos)) in ops.iter().enumerate() {
+                    let line = line_of(raw, high);
+                    lines.push(line);
+                    let (got, want) = match kind {
+                        0 | 1 => (c.lookup(line), r.lookup(line)),
+                        2 | 3 => (c.lookup_or_fill(line, pos), r.lookup_or_fill(line, pos)),
+                        4 | 5 => {
+                            let (got, want) = (c.fill(line, pos), r.fill(line, pos));
+                            prop_assert_eq!(got, want, "fill {} at step {} in {}x{}", line, step, sets, ways);
+                            (true, true)
+                        }
+                        _ if high => (c.invalidate(line), r.invalidate(line)),
+                        _ => (c.probe(line), r.probe(line)),
+                    };
+                    prop_assert_eq!(got, want, "op {} on {} at step {} in {}x{}", kind, line, step, sets, ways);
+                    prop_assert_eq!(c.stats(), r.stats, "stats at step {} in {}x{}", step, sets, ways);
+                }
+                for line in lines {
+                    prop_assert_eq!(c.probe(line), r.probe(line), "residency of {} in {}x{}", line, sets, ways);
                 }
             }
         }

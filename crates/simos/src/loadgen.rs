@@ -61,25 +61,32 @@ impl LoadSchedule {
     }
 
     /// Arrivals during `[t0, t1)` seconds (exact piecewise integration).
+    ///
+    /// Visits only the steps that overlap the interval: from the last
+    /// step starting at or before `t0` up to the first starting at or
+    /// after `t1`. Every step outside that range contributes a
+    /// zero-length segment, so the sum has the same terms in the same
+    /// order as a scan over all steps.
     pub fn arrivals_between(&self, t0: f64, t1: f64) -> f64 {
         if t1 <= t0 {
             return 0.0;
         }
         let mut total = 0.0;
-        let mut cursor = t0;
-        for (i, &(start, qps)) in self.steps.iter().enumerate() {
+        let first = self.steps.partition_point(|s| s.0 <= t0).saturating_sub(1);
+        for (i, &(start, qps)) in self.steps.iter().enumerate().skip(first) {
+            if start >= t1 {
+                break;
+            }
             let seg_start = start.max(t0);
             let seg_end = self.steps.get(i + 1).map_or(t1, |n| n.0).min(t1);
             if seg_end > seg_start {
                 total += qps * (seg_end - seg_start);
-                cursor = seg_end;
             }
         }
         // Time before the first step uses the first step's rate.
         if t0 < self.steps[0].0 {
             total += self.steps[0].1 * (self.steps[0].0.min(t1) - t0);
         }
-        let _ = cursor;
         total
     }
 }

@@ -71,6 +71,26 @@ fn server(name: &str) -> Image {
     }
 }
 
+/// `LoadSchedule::arrivals_between` as a scan over every step: the
+/// reference its windowed scan must match bit for bit.
+fn arrivals_by_full_scan(steps: &[(f64, f64)], t0: f64, t1: f64) -> f64 {
+    if t1 <= t0 {
+        return 0.0;
+    }
+    let mut total = 0.0;
+    for (i, &(start, qps)) in steps.iter().enumerate() {
+        let seg_start = start.max(t0);
+        let seg_end = steps.get(i + 1).map_or(t1, |n| n.0).min(t1);
+        if seg_end > seg_start {
+            total += qps * (seg_end - seg_start);
+        }
+    }
+    if t0 < steps[0].0 {
+        total += steps[0].1 * (steps[0].0.min(t1) - t0);
+    }
+    total
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -114,6 +134,26 @@ proptest! {
             // Busy cycles can never exceed elapsed wall cycles (small
             // slack for the final stalled instruction of a quantum).
             prop_assert!(os.counters(pid).cycles <= os.now() + 1_000);
+        }
+    }
+
+    #[test]
+    fn arrivals_match_the_full_step_scan(
+        raw in vec((0u32..40, 0.0f64..500.0), 1..80),
+        windows in vec((0u32..45, 0u32..45, prop_oneof![Just(0.0f64), 0.0f64..1.0]), 1..40),
+    ) {
+        // Step times on a coarse grid (duplicates are common) that may
+        // start after 0, and windows on the same grid, often exactly on a
+        // step time, else offset by a fraction; including `t0` before the
+        // first step and empty windows.
+        let mut steps: Vec<(f64, f64)> = raw.iter().map(|&(t, q)| (f64::from(t) * 0.5, q)).collect();
+        steps.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let s = LoadSchedule::steps(steps.clone());
+        for (a, b, frac) in windows {
+            let t0 = f64::from(a) * 0.5 - 1.0 + frac;
+            let t1 = f64::from(b) * 0.5 - 1.0 + frac * f64::from(a % 2);
+            let want = arrivals_by_full_scan(&steps, t0, t1);
+            prop_assert_eq!(s.arrivals_between(t0, t1).to_bits(), want.to_bits(), "[{}, {}) over {:?}", t0, t1, steps);
         }
     }
 
