@@ -4,7 +4,9 @@
 //! prints its results — simulated quantities only, no wall-clock — as
 //! canonical JSON on stdout. CI runs this twice, once serial
 //! (`PROTEAN_JOBS=1`) and once parallel, and diffs the bytes: any
-//! divergence means cluster determinism broke.
+//! divergence means cluster determinism broke. It also diffs the serial
+//! quick-scale output against `crates/bench/golden/dc_sim_quick.json`,
+//! so the simulated results are pinned across commits too.
 //!
 //! Scope follows `PROTEAN_SCALE`: at `quick` only the miniature fleets
 //! run; the default derives Figures 17–18 from the full 1,080-server

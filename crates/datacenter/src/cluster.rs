@@ -10,13 +10,17 @@
 //! cycle-accurate: each active server owns a [`simos::Os`] box advanced
 //! to each epoch boundary.
 //!
-//! Parallelism never touches determinism: between two events the active
-//! servers' boxes are independent (they share no state), so the epoch
-//! advance fans them out through a pluggable [`SliceExec`] and puts the
-//! results back in server-id order. The serial executor and a
-//! work-stealing pool produce bit-identical clusters. Everything
-//! nondeterministic-looking (placement randomness, bursty load) draws
-//! from seeded generators inside the serial event loop.
+//! Parallelism never touches determinism: server boxes are independent
+//! (they share no state), so every advance of several boxes at once
+//! fans them out through a pluggable [`SliceExec`] and puts the results
+//! back in server-id order. Two kinds of advance fan out: the epoch
+//! barrier, which advances every active box to the boundary, and a load
+//! step's catch-ups, which bring the wanted boxes that are behind the
+//! step up to it before the balancer flips them active serially. The
+//! serial executor and a work-stealing pool produce bit-identical
+//! clusters. Everything nondeterministic-looking (placement randomness,
+//! bursty load) draws from seeded generators inside the serial event
+//! loop.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -127,18 +131,33 @@ impl Default for ClusterConfig {
     }
 }
 
-/// A parcel of work for the epoch fan-out: advance one server's box to
-/// the epoch boundary. Self-contained and independent of every other
-/// job in the batch, so executors may run them in any order.
+/// What a slice does to its server's box.
+#[derive(Copy, Clone, Debug)]
+enum SliceWork {
+    /// Epoch barrier: [`Server::advance_to`] the boundary.
+    Barrier,
+    /// Balancer catch-up: [`Server::reconcile`] a box that is behind the
+    /// load step, before the balancer activates it.
+    CatchUp,
+}
+
+/// A parcel of work for a fan-out: advance one server's box to a cluster
+/// time, either to an epoch boundary or (for the balancer) to a load
+/// step. Self-contained and independent of every other job in the
+/// batch, so executors may run them in any order.
 pub struct SliceJob {
     server: Server,
     target: Cycles,
+    work: SliceWork,
 }
 
 impl SliceJob {
     /// Runs the slice to completion, returning the advanced server.
     pub fn run(mut self) -> Server {
-        self.server.advance_to(self.target);
+        match self.work {
+            SliceWork::Barrier => self.server.advance_to(self.target),
+            SliceWork::CatchUp => self.server.reconcile(self.target),
+        }
         self.server
     }
 
@@ -148,9 +167,10 @@ impl SliceJob {
     }
 }
 
-/// An executor for a batch of independent slice jobs. Must return the
-/// results **in input order** — that contract is what keeps parallel
-/// runs bit-identical to serial ones.
+/// An executor for a batch of independent slice jobs: one epoch
+/// barrier, or one load step's catch-ups. Must return the results **in
+/// input order** — that contract is what keeps parallel runs
+/// bit-identical to serial ones.
 pub type SliceExec = Box<dyn Fn(Vec<SliceJob>) -> Vec<Server> + Send + Sync>;
 
 /// The default executor: runs slices one after another on this thread.
@@ -433,7 +453,7 @@ impl Cluster {
             self.metrics.inc("datacenter.events");
             match ev.payload {
                 Ev::LoadStep { group } => {
-                    self.rebalance(group, now);
+                    self.rebalance(group, now, exec);
                     self.ensure_epoch(&mut queue, now);
                 }
                 Ev::JobArrival { group } => {
@@ -500,8 +520,11 @@ impl Cluster {
     }
 
     /// Re-plans one group at a shape boundary: picks the active-set size
-    /// from measured capacity and divides load evenly.
-    fn rebalance(&mut self, group: usize, now: Cycles) {
+    /// from measured capacity and divides load evenly. Each wanted
+    /// server is brought up as [`Server::activate`] would (box, catch-up,
+    /// flip to active), then given its share; only the catch-ups of
+    /// boxes behind `now` fan out through `exec`.
+    fn rebalance(&mut self, group: usize, now: Cycles, exec: &SliceExec) {
         let cps = server_machine().cycles_per_second as f64;
         let t_secs = now as f64 / cps;
         let g = &self.cfg.groups[group];
@@ -517,16 +540,28 @@ impl Cluster {
         };
         let share = if n > 0 { qps / n as f64 } else { 0.0 };
         let ls_image = self.images[g.ls_app].clone();
+        let wanted = start..start + n;
         for si in start..end {
-            let want = si - start < n;
+            let want = wanted.contains(&si);
             self.desired_active[si] = want;
             if want {
-                self.server_mut(si).activate(now, &ls_image);
-                self.server_mut(si).set_ls_qps(share);
+                self.server_mut(si).ensure_box(now, &ls_image);
             } else {
                 // Stop feeding it; it parks once drained (and batch-free).
                 self.server_mut(si).set_ls_qps(0.0);
             }
+        }
+        let behind: Vec<usize> = wanted
+            .clone()
+            .filter(|&si| self.server(si).behind(now))
+            .collect();
+        if !behind.is_empty() {
+            self.fan_out(behind, now, SliceWork::CatchUp, exec);
+        }
+        for si in wanted {
+            let server = self.server_mut(si);
+            server.mark_active();
+            server.set_ls_qps(share);
         }
         self.metrics.add("datacenter.rebalances", 1);
     }
@@ -578,27 +613,38 @@ impl Cluster {
         Some(pick)
     }
 
-    /// Fans all active servers out to `target` through the executor and
-    /// reinstalls them in id order.
+    /// Fans all active servers out to the epoch boundary `target`.
     fn advance_active(&mut self, target: Cycles, exec: &SliceExec) {
-        let mut ids = Vec::new();
-        let mut jobs = Vec::new();
-        for si in 0..self.servers.len() {
-            if self.servers[si].as_ref().is_some_and(Server::is_active) {
-                let server = self.servers[si].take().expect("active server present");
-                ids.push(si);
-                jobs.push(SliceJob { server, target });
-            }
-        }
-        let n_active = jobs.len();
+        let ids: Vec<usize> = (0..self.servers.len())
+            .filter(|&si| self.server(si).is_active())
+            .collect();
+        let n_active = ids.len();
+        self.fan_out(ids, target, SliceWork::Barrier, exec);
+        self.metrics
+            .record("datacenter.active_servers", n_active as u64);
+    }
+
+    /// Takes servers `ids` out, runs one `work` slice to `target` on each
+    /// through the executor, and reinstalls them in id order.
+    fn fan_out(&mut self, ids: Vec<usize>, target: Cycles, work: SliceWork, exec: &SliceExec) {
+        let jobs: Vec<SliceJob> = ids
+            .iter()
+            .map(|&si| SliceJob {
+                server: self.servers[si].take().expect("server checked in"),
+                target,
+                work,
+            })
+            .collect();
         let advanced = exec(jobs);
-        assert_eq!(advanced.len(), n_active, "executor must return every slice");
+        assert_eq!(
+            advanced.len(),
+            ids.len(),
+            "executor must return every slice"
+        );
         for (si, server) in ids.into_iter().zip(advanced) {
             assert_eq!(server.id(), si, "executor must preserve input order");
             self.servers[si] = Some(server);
         }
-        self.metrics
-            .record("datacenter.active_servers", n_active as u64);
     }
 
     /// Serial post-epoch bookkeeping: metrics, completions, queued-job
@@ -771,8 +817,8 @@ const _: fn() = || {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
+    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+    use std::sync::{Arc, Mutex};
 
     /// A genuinely parallel executor: worker threads claim slices from a
     /// shared cursor in whatever order the scheduler produces, results
@@ -802,6 +848,52 @@ mod tests {
                 .map(|s| s.into_inner().unwrap().expect("slice ran"))
                 .collect()
         })
+    }
+
+    /// A serial executor that also sums how far each slice advanced its
+    /// server's box (`lifetime_cycles` after the slice minus before).
+    fn counting_exec(in_slices: Arc<AtomicU64>) -> SliceExec {
+        Box::new(move |jobs| {
+            jobs.into_iter()
+                .map(|job| {
+                    let before = job.server.stats().lifetime_cycles;
+                    let server = job.run();
+                    let delta = server.stats().lifetime_cycles - before;
+                    in_slices.fetch_add(delta, Ordering::Relaxed);
+                    server
+                })
+                .collect()
+        })
+    }
+
+    /// On a busy pinned fleet whose load steps land on every epoch
+    /// boundary, the balancer's catch-ups must run as slices too: only
+    /// the controllers' initial flux measurement at t = 0 may advance a
+    /// box on the event-loop thread.
+    #[test]
+    fn busy_fleet_advances_its_boxes_inside_slices() {
+        let cfg = ClusterConfig {
+            groups: vec![GroupSpec {
+                name: "web-search/WL1".into(),
+                ls_app: "web-search",
+                mix: crate::analytic::MIXES[0],
+                servers: 4,
+                shape: QpsShape::diurnal(8.0, 60.0, 15.0, 1.0, 0.0, 1.0),
+            }],
+            batch: BatchMode::Pinned,
+            duration_secs: 8.0,
+            consolidate: false,
+            seed: 5,
+            ..ClusterConfig::default()
+        };
+        let in_slices = Arc::new(AtomicU64::new(0));
+        let r = Cluster::new(cfg).run_with(&counting_exec(Arc::clone(&in_slices)));
+        let total: u64 = r.groups.iter().map(|g| g.lifetime_cycles).sum();
+        let in_slices = in_slices.load(Ordering::Relaxed);
+        assert!(
+            in_slices * 5 >= total * 4,
+            "only {in_slices} of {total} box cycles advanced inside slices"
+        );
     }
 
     fn jobs_config(placement: Placement) -> ClusterConfig {

@@ -304,7 +304,7 @@ impl Server {
 
     /// Creates the cycle-box if it does not exist yet. `ls_image` is the
     /// compiled LS service binary (cached at the cluster level).
-    fn ensure_box(&mut self, cluster_now: Cycles, ls_image: &Image) {
+    pub(crate) fn ensure_box(&mut self, cluster_now: Cycles, ls_image: &Image) {
         if self.box_.is_some() {
             return;
         }
@@ -320,9 +320,18 @@ impl Server {
         self.base = cluster_now;
     }
 
-    /// Brings a parked box's local clock up to `cluster_now`, skipping
-    /// the idle span when provably nothing could run.
-    fn reconcile(&mut self, cluster_now: Cycles) {
+    /// Whether the box exists and its local clock is behind `cluster_now`,
+    /// i.e. whether [`reconcile`](Server::reconcile) would advance it.
+    pub(crate) fn behind(&self, cluster_now: Cycles) -> bool {
+        self.box_
+            .as_ref()
+            .is_some_and(|b| b.os.now() < cluster_now - self.base)
+    }
+
+    /// Brings the box's local clock up to `cluster_now`, skipping the
+    /// idle span when provably nothing could run and otherwise stepping
+    /// it bare, outside any PC3D controller.
+    pub(crate) fn reconcile(&mut self, cluster_now: Cycles) {
         let Some(b) = self.box_.as_ref() else {
             return;
         };
@@ -347,10 +356,16 @@ impl Server {
     }
 
     /// Activates the server at `cluster_now`, creating the box on first
-    /// use and reconciling any parked gap.
+    /// use and reconciling any parked gap. The cluster's balancer runs
+    /// the same three steps itself, fanning the reconciles out.
     pub fn activate(&mut self, cluster_now: Cycles, ls_image: &Image) {
         self.ensure_box(cluster_now, ls_image);
         self.reconcile(cluster_now);
+        self.mark_active();
+    }
+
+    /// Flips the server to active, counting a parked → active transition.
+    pub(crate) fn mark_active(&mut self) {
         if !self.active {
             self.active = true;
             self.stats.activations += 1;

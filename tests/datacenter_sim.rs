@@ -1,14 +1,55 @@
 //! Tier-1 integration checks for the discrete-event datacenter
-//! simulator: a small seeded cluster must be bit-identical whether the
-//! per-server cycle boxes are advanced serially or fanned out across the
-//! experiment thread pool, and the `datacenter.*` metrics must flow into
-//! a `MonitorReport`.
+//! simulator: small seeded clusters (a consolidating jobs-mode fleet and
+//! a busy pinned fleet) must be bit-identical whether the per-server
+//! cycle boxes are advanced serially or fanned out across the experiment
+//! thread pool, and the `datacenter.*` metrics must flow into a
+//! `MonitorReport`.
+
+use std::sync::Mutex;
 
 use datacenter::{
     serial_exec, BatchMode, Cluster, ClusterConfig, ClusterResult, GroupSpec, Placement, QpsShape,
-    MIXES,
+    SliceExec, SliceJob, MIXES,
 };
-use protean_bench::dc::pool_exec;
+use protean_bench::pool;
+
+/// A 4-worker executor over the experiment pool. The worker count is
+/// fixed here rather than read from `PROTEAN_JOBS`: the environment is
+/// process-global and the other tests of this binary run alongside.
+fn pool_exec_4() -> SliceExec {
+    Box::new(|jobs| {
+        let slots: Vec<Mutex<Option<SliceJob>>> =
+            jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
+        pool::map_with(4, &slots, |_, slot| {
+            slot.lock()
+                .expect("slice slot")
+                .take()
+                .expect("each slice claimed exactly once")
+                .run()
+        })
+    })
+}
+
+/// A busy co-located fleet: every server active with a pinned batch
+/// stream under PC3D and diurnal load in 1 s steps, so each load step's
+/// catch-ups fan out alongside the epoch barriers.
+fn pinned_config(seed: u64) -> ClusterConfig {
+    ClusterConfig {
+        groups: vec![GroupSpec {
+            name: "web-search/pinned".into(),
+            ls_app: "web-search",
+            mix: MIXES[0],
+            servers: 5,
+            shape: QpsShape::diurnal(10.0, 60.0, 15.0, 1.0, 0.25, 1.0),
+        }],
+        batch: BatchMode::Pinned,
+        duration_secs: 10.0,
+        consolidate: false,
+        seed,
+        job_branches: 2_000,
+        ..ClusterConfig::default()
+    }
+}
 
 fn config(seed: u64) -> ClusterConfig {
     ClusterConfig {
@@ -73,21 +114,22 @@ fn fingerprint(r: &ClusterResult) -> String {
 
 #[test]
 fn cluster_sim_is_bit_identical_serial_vs_pool() {
-    let serial = Cluster::new(config(11)).run_with(&serial_exec());
-    std::env::set_var("PROTEAN_JOBS", "4");
-    let pooled = Cluster::new(config(11)).run_with(&pool_exec());
-    std::env::remove_var("PROTEAN_JOBS");
-    assert!(
-        serial.queries > 100,
-        "LS load was served: {}",
-        serial.queries
-    );
-    assert!(serial.jobs_completed > 0, "batch jobs completed");
-    assert_eq!(
-        fingerprint(&serial),
-        fingerprint(&pooled),
-        "pool fan-out changed simulation results"
-    );
+    for cfg in [config(11), pinned_config(11)] {
+        let name = cfg.groups[0].name.clone();
+        let serial = Cluster::new(cfg.clone()).run_with(&serial_exec());
+        let pooled = Cluster::new(cfg).run_with(&pool_exec_4());
+        assert!(
+            serial.queries > 100,
+            "{name}: LS load was served: {}",
+            serial.queries
+        );
+        assert!(serial.jobs_completed > 0, "{name}: batch jobs completed");
+        assert_eq!(
+            fingerprint(&serial),
+            fingerprint(&pooled),
+            "{name}: pool fan-out changed simulation results"
+        );
+    }
 }
 
 #[test]
