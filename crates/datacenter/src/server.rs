@@ -435,7 +435,7 @@ impl Server {
     /// harvesting its branch count and QoS record.
     fn finish_batch(&mut self) -> Option<String> {
         let spec = &self.spec;
-        let qos_floor = spec.pc3d.qos_target - spec.pc3d.qos_epsilon;
+        let qos_floor = protean::nap::effective_target(spec.pc3d.qos_target);
         let b = self.box_.as_mut()?;
         let slot = b.batch.take()?;
         let branches = b.os.proc(slot.pid).counters().branches;
@@ -552,7 +552,7 @@ impl Server {
         }
         self.reconcile(cluster_end);
         self.harvest_queries();
-        let qos_floor = self.spec.pc3d.qos_target - self.spec.pc3d.qos_epsilon;
+        let qos_floor = protean::nap::effective_target(self.spec.pc3d.qos_target);
         let b = self.box_.as_mut().expect("box exists");
         if let Some(slot) = &b.batch {
             self.stats.qos_violations += slot

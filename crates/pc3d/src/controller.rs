@@ -5,7 +5,7 @@
 use pcc::NtAssignment;
 use pir::FuncId;
 use protean::{
-    EventKind, ExtMonitor, FaultPlan, HealthConfig, HealthMonitor, HealthState, HostMonitor,
+    nap, EventKind, ExtMonitor, FaultPlan, HealthConfig, HealthMonitor, HealthState, HostMonitor,
     MonitorReport, OsrConfig, OsrController, PhaseChange, PhaseDetector, Runtime, Subsystem,
 };
 use simos::{Os, Pid};
@@ -13,7 +13,8 @@ use simos::{Os, Pid};
 use crate::bisect::NapBisection;
 use crate::heuristics::{select_candidates, HeuristicReport};
 
-/// PC3D configuration.
+/// PC3D configuration. The nap law's gains, smoothing, QoS tolerance and
+/// flux timing are the shared constants of [`protean::nap`].
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub struct Pc3dConfig {
     /// Co-runner QoS target in (0, 1].
@@ -23,10 +24,6 @@ pub struct Pc3dConfig {
     /// Evaluation window used inside the variant search (shorter, to keep
     /// Algorithm 1's total duration in the paper's ~20 s range).
     pub eval_window_secs: f64,
-    /// Seconds between flux measurements (paper: 4 s).
-    pub flux_period_secs: f64,
-    /// Flux freeze duration (paper: 40 ms).
-    pub flux_duration_secs: f64,
     /// Nap bisection tolerance (Algorithm 2 termination).
     pub nap_tolerance: f64,
     /// Cap on the number of candidate sites the greedy search visits.
@@ -36,23 +33,12 @@ pub struct Pc3dConfig {
     /// Runtime-core seconds charged per PC sample (a ptrace stop is tens
     /// of microseconds; monitoring is cheap but not free).
     pub sample_cost_secs: f64,
-    /// Exponential smoothing for the flux solo-IPS estimate.
-    pub solo_ewma: f64,
     /// Seconds of pure monitoring before the first search (PC histogram
     /// warm-up).
     pub warmup_secs: f64,
-    /// Steady-state proportional nap trim gains (fallback napping).
-    pub gain_up: f64,
-    /// Gain for releasing nap when QoS has headroom.
-    pub gain_down: f64,
-    /// Smoothing factor for the decision QoS (1.0 = unsmoothed).
-    pub qos_alpha: f64,
     /// Seconds after a search or phase reset during which no new search
     /// or reset is triggered (settling time).
     pub cooldown_secs: f64,
-    /// Measurement tolerance subtracted from the QoS target in decisions
-    /// (windowed IPS ratios carry a ~1% noise floor).
-    pub qos_epsilon: f64,
     /// Base interval for re-searching when the current best still needs
     /// heavy napping; doubles (up to 8x) while re-searches fail to
     /// improve, so hopeless hosts don't churn.
@@ -71,19 +57,12 @@ impl Default for Pc3dConfig {
             qos_target: 0.95,
             window_secs: 0.5,
             eval_window_secs: 0.3,
-            flux_period_secs: 8.0,
-            flux_duration_secs: 0.8,
             nap_tolerance: 0.12,
             max_sites: 10,
             sample_period_secs: 0.005,
             sample_cost_secs: 20e-6,
-            solo_ewma: 0.35,
             warmup_secs: 2.0,
-            gain_up: 1.5,
-            gain_down: 1.0,
-            qos_alpha: 0.35,
             cooldown_secs: 4.0,
-            qos_epsilon: 0.01,
             research_interval_secs: 30.0,
             osr: false,
         }
@@ -249,7 +228,7 @@ impl Pc3d {
             }),
         };
         ctl.flux(os);
-        ctl.next_flux = os.now_seconds() + config.flux_period_secs;
+        ctl.next_flux = os.now_seconds() + nap::FLUX_PERIOD_SECS;
         ctl
     }
 
@@ -298,10 +277,12 @@ impl Pc3d {
         os.set_nap(self.host, 0.0);
     }
 
-    /// One combined status report: window rates, gate counters, health
-    /// counters, hot functions.
+    /// One combined status report: window rates, the runtime's and the
+    /// health layer's metrics, hot functions.
     pub fn report(&self, os: &Os) -> MonitorReport {
-        self.host_mon.report_with_health(os, &self.rt, &self.health)
+        let mut report = self.host_mon.report(os, &self.rt);
+        report.metrics = report.metrics.merge(self.health.metrics().snapshot());
+        report
     }
 
     /// One merged metrics snapshot across the runtime (`compile.*`,
@@ -406,85 +387,17 @@ impl Pc3d {
     // Measurement machinery
     // ------------------------------------------------------------------
 
-    /// Flux: freeze the host for `flux_duration` and sample the co-runner
-    /// running alone (Section IV-F). The first 60% of the freeze lets the
-    /// co-runner's cache state recover (the simulated time base compresses
-    /// wall time ~2600x but cache capacity only ~50x, so refill takes a
-    /// proportionally longer slice of simulated time than on the paper's
-    /// testbed); only the tail is measured.
+    /// Flux ([`nap::flux`]) over the primary and every additional
+    /// co-runner: refreshes their solo-IPS estimates and restarts the
+    /// monitoring windows the freeze perturbed.
     fn flux(&mut self, os: &mut Os) {
-        os.set_frozen(self.host, true);
-        os.advance_seconds(self.config.flux_duration_secs * 0.6);
-        // The solo rate is measured over the whole tail, as before — but
-        // HPM counter reads can be garbled (see `simos::ObsFaults`), and
-        // because garbling perturbs *cumulative* counts, one bad read can
-        // throw a windowed rate off by orders of magnitude and poison
-        // every subsequent QoS ratio. Three sub-probes over the same tail
-        // provide a median cross-check: a primary reading far outside the
-        // median's band is discarded in favor of the median (at most one
-        // sub-window shares a garbled read with the primary).
-        let sub_secs = self.config.flux_duration_secs * 0.4 / 3.0;
-        let mut full = ExtMonitor::new(os, self.ext);
-        let mut extra_full: Vec<ExtMonitor> = self
-            .extra
-            .iter()
-            .map(|e| ExtMonitor::new(os, e.pid))
+        let pids: Vec<Pid> = std::iter::once(self.ext)
+            .chain(self.extra.iter().map(|e| e.pid))
             .collect();
-        let mut ips = [0.0f64; 3];
-        let mut extra_ips = vec![[0.0f64; 3]; self.extra.len()];
-        for k in 0..3 {
-            let mut probe = ExtMonitor::new(os, self.ext);
-            let mut extra_probes: Vec<ExtMonitor> = self
-                .extra
-                .iter()
-                .map(|e| ExtMonitor::new(os, e.pid))
-                .collect();
-            os.advance_seconds(sub_secs);
-            ips[k] = probe.end_window(os).ips;
-            for (slot, p) in extra_ips.iter_mut().zip(extra_probes.iter_mut()) {
-                slot[k] = p.end_window(os).ips;
-            }
-        }
-        let full_ips = full.end_window(os).ips;
-        let extra_full_ips: Vec<f64> = extra_full
-            .iter_mut()
-            .map(|p| p.end_window(os).ips)
-            .collect();
-        os.set_frozen(self.host, false);
-        fn median3(mut v: [f64; 3]) -> f64 {
-            v.sort_by(|a, b| a.total_cmp(b));
-            v[1]
-        }
-        fn robust(primary: f64, med: f64) -> f64 {
-            if med > 0.0 && !(med * 0.5..=med * 2.0).contains(&primary) {
-                med
-            } else {
-                primary
-            }
-        }
-        let ewma = self.config.solo_ewma;
-        let w_ips = robust(full_ips, median3(ips));
-        if w_ips > 0.0 {
-            self.solo_ips = if self.solo_ips == 0.0 {
-                w_ips
-            } else {
-                ewma * w_ips + (1.0 - ewma) * self.solo_ips
-            };
-        }
-        for ((e, sub), full_e) in self
-            .extra
-            .iter_mut()
-            .zip(extra_ips.iter())
-            .zip(extra_full_ips.iter())
-        {
-            let we_ips = robust(*full_e, median3(*sub));
-            if we_ips > 0.0 {
-                e.solo_ips = if e.solo_ips == 0.0 {
-                    we_ips
-                } else {
-                    ewma * we_ips + (1.0 - ewma) * e.solo_ips
-                };
-            }
+        let readings = nap::flux(os, self.host, &pids);
+        self.solo_ips = nap::blend_solo(self.solo_ips, readings[0]);
+        for (e, reading) in self.extra.iter_mut().zip(&readings[1..]) {
+            e.solo_ips = nap::blend_solo(e.solo_ips, *reading);
             e.mon = ExtMonitor::new(os, e.pid);
         }
         self.ext_mon = ExtMonitor::new(os, self.ext);
@@ -501,7 +414,7 @@ impl Pc3d {
     ) -> (protean::WindowStats, protean::WindowStats) {
         if os.now_seconds() >= self.next_flux {
             self.flux(os);
-            self.next_flux = os.now_seconds() + self.config.flux_period_secs;
+            self.next_flux = os.now_seconds() + nap::FLUX_PERIOD_SECS;
         }
         let end = os.now_seconds() + secs;
         let sample_cost =
@@ -527,37 +440,16 @@ impl Pc3d {
         let _ = self.host_mon.end_window(os);
         // Minimum QoS among additional protected co-runners this window.
         self.extra_qos_min = 1.0f64;
-        for i in 0..self.extra.len() {
-            let we = self.extra[i].mon.end_window(os);
-            let solo = self.extra[i].solo_ips;
-            let q = if solo <= 0.0 {
-                1.0
-            } else {
-                let raw = we.ips / solo;
-                if we.busy < 0.35 && raw < 1.0 {
-                    1.0
-                } else {
-                    raw
-                }
-            };
+        for e in &mut self.extra {
+            let q = nap::qos(&e.mon.end_window(os), e.solo_ips);
             self.extra_qos_min = self.extra_qos_min.min(q);
         }
         (ext, host)
     }
 
+    /// The primary co-runner's QoS over `ext` ([`nap::qos`]).
     fn qos(&self, ext: &protean::WindowStats) -> f64 {
-        if self.solo_ips <= 0.0 {
-            return 1.0;
-        }
-        let raw = ext.ips / self.solo_ips;
-        // A mostly-idle co-runner (a server between requests) is keeping
-        // up with its offered load: it is meeting QoS even though its
-        // windowed IPS is tiny and noisy.
-        if ext.busy < 0.35 && raw < 1.0 {
-            1.0
-        } else {
-            raw
-        }
+        nap::qos(ext, self.solo_ips)
     }
 
     fn record(
@@ -578,7 +470,7 @@ impl Pc3d {
             host_bps: host.bps,
             // Cap for reporting: early flux underestimates of solo IPS can
             // briefly make the ratio exceed 1.
-            qos: self.qos(ext).min(1.25),
+            qos: self.qos(ext).min(nap::QOS_CAP),
             nap: self.nap,
             hints: self.applied.len(),
             searching,
@@ -643,7 +535,7 @@ impl Pc3d {
     }
 
     fn set_nap(&mut self, os: &mut Os, nap: f64) {
-        let new = nap.clamp(0.0, 0.99);
+        let new = nap.clamp(0.0, nap::NAP_MAX);
         let permille = (new * 1000.0).round() as u64;
         if permille != (self.nap * 1000.0).round() as u64 {
             self.emit(os, EventKind::NapSet { permille });
@@ -673,7 +565,7 @@ impl Pc3d {
             let _ = self.advance_window(os, self.config.eval_window_secs);
             let (ext, host) = self.advance_window(os, self.config.eval_window_secs);
             let ok = self.qos(&ext).min(self.extra_qos_min)
-                >= self.config.qos_target - self.config.qos_epsilon;
+                >= nap::effective_target(self.config.qos_target);
             self.record(os, &ext, &host, true);
             bis.observe(ok);
         }
@@ -691,7 +583,7 @@ impl Pc3d {
         let q2 = self.qos(&ext2).min(self.extra_qos_min);
         let qos = ((self.qos(&ext1).min(extra1)) + q2) / 2.0;
         let bps = (host1.bps + host2.bps) / 2.0;
-        let feasible_bps = if qos >= self.config.qos_target - self.config.qos_epsilon {
+        let feasible_bps = if qos >= nap::effective_target(self.config.qos_target) {
             bps
         } else {
             0.0
@@ -812,17 +704,14 @@ impl Pc3d {
     /// search or trim nap as needed.
     pub fn run_window(&mut self, os: &mut Os) {
         let (ext, host) = self.advance_window(os, self.config.window_secs);
-        // The 1.25 cap bounds the damage a garbled (inflated) counter
-        // read can do to the smoothed estimate; deflated reads are
-        // transient and the smoothing absorbs them.
-        let qos = self.qos(&ext).min(self.extra_qos_min).min(1.25);
-        let a = self.config.qos_alpha;
-        self.qos_smooth = a * qos + (1.0 - a) * self.qos_smooth;
+        let qos = self.qos(&ext).min(self.extra_qos_min).min(nap::QOS_CAP);
+        self.qos_smooth = nap::smooth(self.qos_smooth, qos);
+        let effective_target = nap::effective_target(self.config.qos_target);
         let slack = ((qos - self.config.qos_target) * 1000.0).max(0.0) as u64;
         self.rt
             .metrics_mut()
             .record("pc3d.qos_window_slack_permille", slack);
-        if qos < self.config.qos_target - self.config.qos_epsilon {
+        if qos < effective_target {
             self.rt.metrics_mut().inc("pc3d.qos_window_violations");
         }
         self.record(os, &ext, &host, false);
@@ -840,23 +729,16 @@ impl Pc3d {
             self.qos_smooth = 1.0;
         }
         if self.health.state() != HealthState::Healthy {
-            // Degraded/Detached: nap-only ReQoS fallback. The process's
-            // code is untouched (installed variants were restored on the
-            // downward transition) but napping is an OS-scheduler
-            // facility, not a code transformation, so the co-runner is
-            // never protected worse than plain ReQoS. Keep measuring so
-            // hysteresis recovery can fire.
+            // Degraded/Detached: nap-only ReQoS, the very law the `reqos`
+            // crate runs. The process's code is untouched (installed
+            // variants were restored on the downward transition) but
+            // napping is an OS-scheduler facility, not a code
+            // transformation, so the co-runner is never protected worse
+            // than plain ReQoS. Keep measuring so hysteresis recovery
+            // can fire.
             self.applied = NtAssignment::none();
-            let effective_target = self.config.qos_target - self.config.qos_epsilon;
-            if self.qos_smooth < effective_target {
-                let err = effective_target - self.qos_smooth;
-                self.set_nap(os, self.nap + self.config.gain_up * err);
-            } else if ext.busy < 0.35 {
-                self.set_nap(os, self.nap * 0.5 - 0.01);
-            } else {
-                let err = self.qos_smooth - effective_target;
-                self.set_nap(os, self.nap - self.config.gain_down * err);
-            }
+            let nap = nap::step(self.nap, self.qos_smooth, effective_target, ext.busy);
+            self.set_nap(os, nap);
             return;
         }
 
@@ -881,7 +763,7 @@ impl Pc3d {
         };
         // A near-idle co-runner's windowed rates are dominated by arrival
         // granularity; its "phase" is simply idle — observe nothing.
-        let ext_rate_change = if ext.busy < 0.35 {
+        let ext_rate_change = if ext.busy < nap::IDLE_BUSY {
             PhaseChange::Stable
         } else if ext.app_rate > 0.0 {
             self.ext_phase.observe_app_rate(&smoothed)
@@ -898,15 +780,6 @@ impl Pc3d {
             .map(|(f, _)| *f)
             .collect();
         let host_change = self.host_phase.observe_hot_set(&hot);
-        // Diagnostic trace for controller tuning (documented in
-        // DESIGN.md): set PC3D_DEBUG=1 to stream per-window decisions.
-        if std::env::var("PC3D_DEBUG").is_ok() {
-            eprintln!(
-                "[dbg] t={:.1} app_rate={:.1} ips={:.0} smooth={:.1} change={:?} qos={:.3} busy={:.2} nap={:.2}",
-                os.now_seconds(), ext.app_rate, ext.ips, self.ext_rate_smooth,
-                ext_rate_change, qos, ext.busy, self.nap
-            );
-        }
         let settled = os.now_seconds() >= self.cooldown_until;
         if settled && (ext_rate_change != PhaseChange::Stable || host_change != PhaseChange::Stable)
         {
@@ -934,40 +807,31 @@ impl Pc3d {
 
         let warm = os.now_seconds() >= self.config.warmup_secs;
         let qos_d = self.qos_smooth;
-        let effective_target = self.config.qos_target - self.config.qos_epsilon;
         // Periodic re-search: if the last search left us napping heavily,
         // conditions may have improved (or it straddled a transition).
         let research_due =
             self.nap > 0.5 && os.now_seconds() > self.last_search_end + self.research_interval;
-        if qos_d < effective_target || (research_due && warm && settled) {
-            if warm && settled && (!self.searched_this_phase || research_due) {
-                self.search(os);
-                self.ext_phase.reset();
-                self.host_phase.reset();
-                self.qos_smooth = 1.0;
-                self.cooldown_until = os.now_seconds() + self.config.cooldown_secs;
-            } else {
-                // Fallback: trim with napping (the search's variant stays).
-                let err = effective_target - qos_d;
-                let nap = self.nap + self.config.gain_up * err;
-                self.set_nap(os, nap);
-                // If napping drifts far above what the search concluded,
-                // the search's conclusion no longer describes reality
-                // (e.g. it straddled a load transition): invalidate it so
-                // the next violating window re-searches.
-                if self.searched_this_phase && self.nap > self.searched_nap + 0.25 {
-                    self.searched_this_phase = false;
-                }
-            }
-        } else if ext.busy < 0.35 {
-            // Idle co-runner: nothing to protect; shed nap quickly.
-            let nap = self.nap * 0.5 - 0.01;
-            self.set_nap(os, nap);
-        } else {
-            // Headroom: release nap slowly to recover host throughput.
-            let err = qos_d - effective_target;
-            let nap = self.nap - self.config.gain_down * err;
-            self.set_nap(os, nap);
+        if warm
+            && settled
+            && (qos_d < effective_target || research_due)
+            && (!self.searched_this_phase || research_due)
+        {
+            self.search(os);
+            self.ext_phase.reset();
+            self.host_phase.reset();
+            self.qos_smooth = 1.0;
+            self.cooldown_until = os.now_seconds() + self.config.cooldown_secs;
+            return;
+        }
+        // Otherwise the nap law trims around the search's variant.
+        let nap = nap::step(self.nap, qos_d, effective_target, ext.busy);
+        self.set_nap(os, nap);
+        // If napping drifts far above what the search concluded, the
+        // search's conclusion no longer describes reality (e.g. it
+        // straddled a load transition): invalidate it so the next
+        // violating window re-searches.
+        if self.searched_this_phase && self.nap > self.searched_nap + 0.25 {
+            self.searched_this_phase = false;
         }
     }
 
@@ -1042,31 +906,6 @@ mod tests {
         let report = ctl.heuristic_report().expect("search produced a report");
         assert_eq!(report.total_loads, 636);
         assert!(report.max_depth_loads < 30);
-    }
-
-    #[test]
-    fn pc3d_outperforms_nap_only_on_streaming_host() {
-        // The paper's core claim: with NT hints the host makes more
-        // progress at equal QoS than nap-only throttling.
-        let (mut os, _h, ext, rt) = setup("libquantum", "mcf");
-        let mut ctl = Pc3d::new(&mut os, rt, ext, Pc3dConfig::default());
-        ctl.run_for(&mut os, 60.0);
-        let w = ctl.history().len();
-        let pc3d_bps = ctl.mean_host_bps(w * 2 / 3);
-        let pc3d_qos = ctl.mean_qos(w * 2 / 3);
-
-        let (mut os2, h2, ext2, _rt2) = setup("libquantum", "mcf");
-        let mut reqos = reqos_baseline(&mut os2, h2, ext2);
-        reqos.run_for(&mut os2, 60.0);
-        let w2 = reqos.history().len();
-        let reqos_bps = reqos.mean_host_bps(w2 * 2 / 3);
-        let reqos_qos = reqos.mean_qos(w2 * 2 / 3);
-
-        assert!(
-            pc3d_bps > reqos_bps,
-            "PC3D ({pc3d_bps:.0} bps, qos {pc3d_qos:.3}) should beat nap-only \
-             ({reqos_bps:.0} bps, qos {reqos_qos:.3}) on a streaming host"
-        );
     }
 
     #[test]
@@ -1173,9 +1012,12 @@ mod tests {
         // Fault-free windows climb the ladder back to Healthy.
         ctl.run_for(&mut os, 10.0);
         assert_eq!(ctl.health().state(), HealthState::Healthy);
-        assert!(ctl.health().stats().recoveries >= 2);
-        let report = ctl.report(&os);
-        assert!(report.health.is_some(), "report carries healing counters");
+        assert!(ctl.health().metrics().counter("health.recoveries") >= 2);
+        let report = ctl.report(&os).to_string();
+        assert!(
+            report.contains("health:"),
+            "report carries healing counters"
+        );
     }
 
     #[test]
@@ -1209,7 +1051,7 @@ mod tests {
         ctl.run_for(&mut os, 60.0);
         assert_eq!(ctl.health().state(), HealthState::Degraded);
         assert_eq!(ctl.hints(), 0, "no variant survives dropped EVT writes");
-        assert!(ctl.health().stats().evt_write_failures >= 2);
+        assert!(ctl.health().metrics().counter("health.evt_write_failures") >= 2);
         // Nap-only control still runs: the co-runner is not abandoned.
         let w = ctl.history().len();
         let qos = ctl.mean_qos(w / 2);
@@ -1238,93 +1080,5 @@ mod tests {
             "runtime should use <2% of server cycles, used {:.3}%",
             100.0 * total_runtime / server
         );
-    }
-
-    // A minimal nap-only baseline reusing the reqos crate is not possible
-    // here (circular dev-dependency), so the test embeds one.
-    struct NapOnly {
-        host: Pid,
-        ext: Pid,
-        solo: f64,
-        nap: f64,
-        hist: Vec<(f64, f64)>, // (qos, host_bps)
-        ext_mon: ExtMonitor,
-        host_mon: ExtMonitor,
-        next_flux: f64,
-    }
-
-    fn reqos_baseline(os: &mut Os, host: Pid, ext: Pid) -> NapOnly {
-        let mut n = NapOnly {
-            host,
-            ext,
-            solo: 0.0,
-            nap: 0.0,
-            hist: Vec::new(),
-            ext_mon: ExtMonitor::new(os, ext),
-            host_mon: ExtMonitor::new(os, host),
-            next_flux: 0.0,
-        };
-        n.flux(os);
-        n.next_flux = os.now_seconds() + 4.0;
-        n
-    }
-
-    impl NapOnly {
-        fn flux(&mut self, os: &mut Os) {
-            os.set_frozen(self.host, true);
-            let mut probe = ExtMonitor::new(os, self.ext);
-            os.advance_seconds(0.04);
-            let w = probe.end_window(os);
-            os.set_frozen(self.host, false);
-            if w.ips > 0.0 {
-                self.solo = if self.solo == 0.0 {
-                    w.ips
-                } else {
-                    0.5 * w.ips + 0.5 * self.solo
-                };
-            }
-            self.ext_mon = ExtMonitor::new(os, self.ext);
-            self.host_mon = ExtMonitor::new(os, self.host);
-        }
-
-        fn run_for(&mut self, os: &mut Os, secs: f64) {
-            let end = os.now_seconds() + secs;
-            while os.now_seconds() < end {
-                if os.now_seconds() >= self.next_flux {
-                    self.flux(os);
-                    self.next_flux = os.now_seconds() + 4.0;
-                }
-                os.advance_seconds(0.2);
-                let w = self.ext_mon.end_window(os);
-                let h = self.host_mon.end_window(os);
-                let qos = if self.solo > 0.0 {
-                    w.ips / self.solo
-                } else {
-                    1.0
-                };
-                let err = 0.95 - qos;
-                if err > 0.0 {
-                    self.nap = (self.nap + 3.0 * err).min(0.99);
-                } else {
-                    self.nap = (self.nap + 0.4 * err).max(0.0);
-                }
-                os.set_nap(self.host, self.nap);
-                self.hist.push((qos, h.bps));
-            }
-        }
-
-        fn history(&self) -> &[(f64, f64)] {
-            &self.hist
-        }
-
-        fn mean_qos(&self, skip: usize) -> f64 {
-            let t = &self.hist[skip.min(self.hist.len())..];
-            t.iter().map(|x| x.0).sum::<f64>() / t.len().max(1) as f64
-        }
-
-        fn mean_host_bps(&self, skip: usize) -> f64 {
-            let t = &self.hist[skip.min(self.hist.len())..];
-            t.iter().map(|x| x.1).sum::<f64>() / t.len().max(1) as f64
-        }
     }
 }

@@ -17,9 +17,12 @@
 //!   (Algorithm 2's control skeleton), exploiting monotonicity of
 //!   performance in nap intensity.
 //! * [`controller`] — Algorithm 1's greedy variant search plus the
-//!   steady-state loop: flux-based solo estimation (Section IV-F),
-//!   co-phase detection, variant dispatch through the protean runtime,
-//!   and nap fallback.
+//!   steady-state loop: co-phase detection, variant dispatch through
+//!   the protean runtime, and napping. Flux-based solo estimation
+//!   (Section IV-F), the QoS rule and the nap trim are the ReQoS law
+//!   of [`protean::nap`], which is also the whole policy of the
+//!   `Degraded`/`Detached` rungs — the same code the `reqos` baseline
+//!   runs standalone.
 //!
 //! # Example
 //!

@@ -113,64 +113,6 @@ impl Default for HealthConfig {
     }
 }
 
-/// Cumulative counters of the self-healing layer, the
-/// [`GateStats`](crate::GateStats) analogue for fault handling.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct HealthStats {
-    /// Compilations that failed (injected or real).
-    pub compile_failures: u64,
-    /// Compile retries attempted after backoff.
-    pub compile_retries: u64,
-    /// Compile requests abandoned after exhausting retries.
-    pub compile_gave_up: u64,
-    /// Compilations whose cycle charge missed the watchdog deadline.
-    pub watchdog_trips: u64,
-    /// Code-cache checksum mismatches detected (dispatch or scrub).
-    pub checksum_failures: u64,
-    /// Fresh recompiles performed to repair corrupted cache entries.
-    pub cache_repairs: u64,
-    /// EVT writes dropped mid-dispatch.
-    pub evt_write_failures: u64,
-    /// Variants quarantined after repeated faults.
-    pub quarantines: u64,
-    /// Dispatch attempts refused because the variant was quarantined.
-    pub rejected_quarantined: u64,
-    /// Transitions into `Degraded`.
-    pub degradations: u64,
-    /// Transitions into `Detached`.
-    pub detaches: u64,
-    /// Rungs climbed back up after clean windows.
-    pub recoveries: u64,
-    /// (function, loop header) pairs banned from further OSR transfers.
-    pub osr_quarantines: u64,
-}
-
-impl fmt::Display for HealthStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "health: {} compile failure(s) ({} retried, {} abandoned), \
-             {} watchdog trip(s), {} checksum failure(s) ({} repaired), \
-             {} EVT drop(s), {} quarantined ({} refused), \
-             {} degradation(s), {} detach(es), {} recovery(ies), \
-             {} OSR header(s) quarantined",
-            self.compile_failures,
-            self.compile_retries,
-            self.compile_gave_up,
-            self.watchdog_trips,
-            self.checksum_failures,
-            self.cache_repairs,
-            self.evt_write_failures,
-            self.quarantines,
-            self.rejected_quarantined,
-            self.degradations,
-            self.detaches,
-            self.recoveries,
-            self.osr_quarantines
-        )
-    }
-}
-
 /// A compile request awaiting its backoff deadline.
 #[derive(Clone, Debug)]
 struct RetryState {
@@ -195,8 +137,7 @@ struct RetryState {
 pub struct HealthMonitor {
     config: HealthConfig,
     state: HealthState,
-    /// Uniform metric surface (`health.*` counters); the legacy
-    /// [`HealthStats`] accessor is a thin read of it.
+    /// Uniform metric surface (`health.*` counters).
     metrics: Registry,
     /// Fault count per variant index (drives quarantine).
     variant_faults: HashMap<usize, u32>,
@@ -232,27 +173,6 @@ impl HealthMonitor {
     /// Current rung of the degradation ladder.
     pub fn state(&self) -> HealthState {
         self.state
-    }
-
-    /// Cumulative counters — a thin adapter over the
-    /// [`metrics`](HealthMonitor::metrics) registry's `health.*`
-    /// counters, kept for API compatibility.
-    pub fn stats(&self) -> HealthStats {
-        HealthStats {
-            compile_failures: self.metrics.counter("health.compile_failures"),
-            compile_retries: self.metrics.counter("health.compile_retries"),
-            compile_gave_up: self.metrics.counter("health.compile_gave_up"),
-            watchdog_trips: self.metrics.counter("health.watchdog_trips"),
-            checksum_failures: self.metrics.counter("health.checksum_failures"),
-            cache_repairs: self.metrics.counter("health.cache_repairs"),
-            evt_write_failures: self.metrics.counter("health.evt_write_failures"),
-            quarantines: self.metrics.counter("health.quarantines"),
-            rejected_quarantined: self.metrics.counter("health.rejected_quarantined"),
-            degradations: self.metrics.counter("health.degradations"),
-            detaches: self.metrics.counter("health.detaches"),
-            recoveries: self.metrics.counter("health.recoveries"),
-            osr_quarantines: self.metrics.counter("health.osr_quarantines"),
-        }
     }
 
     /// The health layer's metric registry (`health.*` counters).
@@ -445,7 +365,7 @@ impl HealthMonitor {
                 false
             }
             Err(DispatchError::UnsafeVariant { .. }) => {
-                // The gate already counts this in GateStats; it still
+                // The gate already counts this (`gate.*`); it still
                 // advances the variant's quarantine count so a producer
                 // spamming unsafe bodies gets banned.
                 self.note_variant_fault(os, rt, variant);
@@ -796,14 +716,14 @@ mod tests {
         assert!(!rt.is_quarantined(idx), "first fault tolerated");
         assert!(!health.dispatch(&mut os, &mut rt, idx));
         assert!(rt.is_quarantined(idx), "second fault quarantines");
-        assert_eq!(health.stats().quarantines, 1);
-        assert_eq!(health.stats().evt_write_failures, 2);
+        assert_eq!(health.metrics().counter("health.quarantines"), 1);
+        assert_eq!(health.metrics().counter("health.evt_write_failures"), 2);
         let original = rt.link().func_addrs[worker.index()];
         assert_eq!(rt.current_target(&os, worker), Some(original));
         // The quarantine outlives the fault plan.
         rt.clear_fault_plan();
         assert!(!health.dispatch(&mut os, &mut rt, idx));
-        assert_eq!(health.stats().rejected_quarantined, 1);
+        assert_eq!(health.metrics().counter("health.rejected_quarantined"), 1);
     }
 
     #[test]
@@ -824,22 +744,30 @@ mod tests {
         // First retry is due after the base backoff.
         os.advance(1_100);
         health.poll(&mut os, &mut rt);
-        assert_eq!(health.stats().compile_retries, 1);
+        assert_eq!(health.metrics().counter("health.compile_retries"), 1);
         // The second retry's backoff doubled: another base-interval wait
         // is not enough.
         os.advance(1_100);
         health.poll(&mut os, &mut rt);
-        assert_eq!(health.stats().compile_retries, 1, "2x backoff not yet due");
+        assert_eq!(
+            health.metrics().counter("health.compile_retries"),
+            1,
+            "2x backoff not yet due"
+        );
         os.advance(1_100);
         health.poll(&mut os, &mut rt);
-        assert_eq!(health.stats().compile_retries, 2);
+        assert_eq!(health.metrics().counter("health.compile_retries"), 2);
         // Third retry waits 4x; after it fails the request is abandoned.
         os.advance(4_100);
         health.poll(&mut os, &mut rt);
-        assert_eq!(health.stats().compile_retries, 3);
-        assert_eq!(health.stats().compile_gave_up, 1);
+        assert_eq!(health.metrics().counter("health.compile_retries"), 3);
+        assert_eq!(health.metrics().counter("health.compile_gave_up"), 1);
         assert_eq!(health.pending_retries(), 0);
-        assert_eq!(health.stats().compile_failures, 4, "initial + 3 retries");
+        assert_eq!(
+            health.metrics().counter("health.compile_failures"),
+            4,
+            "initial + 3 retries"
+        );
     }
 
     #[test]
@@ -859,7 +787,7 @@ mod tests {
         );
         let idx = health.transform(&mut os, &mut rt, worker, &NtAssignment::none());
         assert!(idx.is_some(), "stalled compiles still complete");
-        assert_eq!(health.stats().watchdog_trips, 1);
+        assert_eq!(health.metrics().counter("health.watchdog_trips"), 1);
     }
 
     #[test]
@@ -873,8 +801,8 @@ mod tests {
         let addr = rt.variants()[idx].addr;
         assert!(os.corrupt_text(pid, addr + 1, 0xfeed));
         health.scrub(&mut os, &mut rt);
-        assert_eq!(health.stats().checksum_failures, 1);
-        assert_eq!(health.stats().cache_repairs, 1);
+        assert_eq!(health.metrics().counter("health.checksum_failures"), 1);
+        assert_eq!(health.metrics().counter("health.cache_repairs"), 1);
         // The repaired copy, not the corrupt one, is installed.
         let target = rt.current_target(&os, worker).unwrap();
         assert_ne!(target, addr);
@@ -886,7 +814,7 @@ mod tests {
         assert!(rt.verify_code(&os, fresh));
         // A clean scrub afterwards is a no-op.
         health.scrub(&mut os, &mut rt);
-        assert_eq!(health.stats().checksum_failures, 1);
+        assert_eq!(health.metrics().counter("health.checksum_failures"), 1);
     }
 
     #[test]
@@ -923,8 +851,8 @@ mod tests {
         health.note_fault(&mut os, &mut rt);
         health.note_fault(&mut os, &mut rt);
         assert_eq!(health.state(), HealthState::Detached);
-        assert_eq!(health.stats().degradations, 1);
-        assert_eq!(health.stats().detaches, 1);
+        assert_eq!(health.metrics().counter("health.degradations"), 1);
+        assert_eq!(health.metrics().counter("health.detaches"), 1);
         // The window the faults landed in closes dirty; then one clean
         // window is not enough (hysteresis)...
         health.end_window(&mut os, &mut rt);
@@ -936,7 +864,7 @@ mod tests {
         health.end_window(&mut os, &mut rt);
         health.end_window(&mut os, &mut rt);
         assert_eq!(health.state(), HealthState::Healthy);
-        assert_eq!(health.stats().recoveries, 2);
+        assert_eq!(health.metrics().counter("health.recoveries"), 2);
         assert!(health.allows_variants());
     }
 
@@ -985,7 +913,7 @@ mod tests {
             health.osr_quarantined(worker, header),
             "second fault quarantines"
         );
-        assert_eq!(health.stats().osr_quarantines, 1);
+        assert_eq!(health.metrics().counter("health.osr_quarantines"), 1);
         assert_eq!(health.osr_fault_count(worker, header), 2);
         // Only the faulting header is banned; other headers and
         // function-level dispatch are untouched.
@@ -995,7 +923,7 @@ mod tests {
             .is_some());
         // Further faults past the threshold do not re-count.
         assert!(health.note_osr_fault(&mut os, &mut rt, worker, header));
-        assert_eq!(health.stats().osr_quarantines, 1);
+        assert_eq!(health.metrics().counter("health.osr_quarantines"), 1);
     }
 
     #[test]
@@ -1020,13 +948,5 @@ mod tests {
         assert_eq!(HealthState::Healthy.to_string(), "healthy");
         assert_eq!(HealthState::Degraded.to_string(), "degraded");
         assert_eq!(HealthState::Detached.to_string(), "detached");
-        let stats = HealthStats {
-            checksum_failures: 2,
-            detaches: 1,
-            ..HealthStats::default()
-        };
-        let text = stats.to_string();
-        assert!(text.contains("2 checksum failure(s)"), "{text}");
-        assert!(text.contains("1 detach(es)"), "{text}");
     }
 }

@@ -27,9 +27,9 @@
 //!   outright, and anything else must be proved equivalent modulo
 //!   non-temporal hints by the [`pir::equiv`] translation validator.
 //!   Unproved or refuted variants are refused with
-//!   [`DispatchError::UnsafeVariant`](runtime::DispatchError), and the
-//!   memoized verdicts plus refusal counters are exposed via
-//!   [`Runtime::gate_stats`](runtime::Runtime::gate_stats).
+//!   [`DispatchError::UnsafeVariant`](runtime::DispatchError); verdict
+//!   cache and refusal counts land in the runtime's metric registry as
+//!   `gate.*` counters.
 //! * **Monitoring** ([`monitor`]): introspection (PC sampling → hot
 //!   functions; HPM windows → IPC/BPC) and extrospection (co-runner HPM
 //!   and application-level metrics).
@@ -38,6 +38,9 @@
 //! * **Decision engines**: [`stress::StressEngine`] reproduces the
 //!   recompilation stress tests (Figures 5-6); PC3D (its own crate) is the
 //!   full contention-mitigation engine.
+//! * **The nap law** ([`nap`]): ReQoS's flux probe, QoS rule and
+//!   proportional nap step, shared by the `reqos` baseline (which runs
+//!   it standalone) and PC3D (its nap trim and nap-only fallback).
 //! * **Fault injection & self-healing** ([`faults`], [`health`]): a
 //!   seeded [`FaultPlan`] injects compile failures/stalls, EVT-write
 //!   drops, code-cache corruption, and garbled observations; the
@@ -50,17 +53,17 @@
 //!   ring buffers (drop-oldest, counted), exportable as Chrome-trace JSON
 //!   or flat JSONL via [`Runtime::export_trace`](runtime::Runtime::export_trace)
 //!   / the `PROTEAN_TRACE` env hook; a [`metrics::Registry`] of counters,
-//!   gauges, and histograms backs the legacy `GateStats`/`HealthStats`
-//!   adapters with one uniform surface. No wall clock anywhere — traces
-//!   from same-seed runs are bit-identical.
+//!   gauges, and histograms is the one metrics surface of every layer,
+//!   rendered for operators by [`MonitorReport`]. No wall clock anywhere
+//!   — traces from same-seed runs are bit-identical.
 //! * **[`systems`]**: the qualitative comparison matrix of Table I.
 
 pub mod cost;
-pub mod engine;
 pub mod faults;
 pub mod health;
 pub mod metrics;
 pub mod monitor;
+pub mod nap;
 pub mod osr;
 pub mod phase;
 pub mod runtime;
@@ -70,14 +73,13 @@ pub mod systems;
 pub mod trace;
 
 pub use cost::CompileCostModel;
-pub use engine::{drive, DecisionEngine};
 pub use faults::{FaultEvent, FaultKind, FaultPlan};
-pub use health::{HealthConfig, HealthMonitor, HealthState, HealthStats};
+pub use health::{HealthConfig, HealthMonitor, HealthState};
 pub use metrics::{Histogram, HistogramSummary, Registry, Snapshot};
 pub use monitor::{ExtMonitor, HostMonitor, MonitorReport, WindowStats};
 pub use osr::{OsrConfig, OsrController, OsrError};
 pub use phase::{PhaseChange, PhaseDetector};
-pub use runtime::{AttachError, DispatchError, GateStats, Runtime, RuntimeConfig, VariantRecord};
+pub use runtime::{AttachError, DispatchError, Runtime, RuntimeConfig, VariantRecord};
 pub use safety::{check_variant, code_checksum, vet_variant, VariantVerdict};
 pub use stress::StressEngine;
 pub use trace::{EventKind, Subsystem, TraceEvent, TraceFiles, Tracer};

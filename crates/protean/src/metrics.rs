@@ -1,12 +1,11 @@
 //! Uniform runtime metrics: counters, gauges, and histograms.
 //!
-//! Every runtime subsystem used to keep its own ad-hoc counter struct
-//! ([`GateStats`](crate::GateStats), [`HealthStats`](crate::HealthStats));
-//! the [`Registry`] replaces those fields with one uniform surface while
-//! the legacy structs survive as thin adapters
-//! ([`Runtime::gate_stats`](crate::Runtime::gate_stats),
-//! [`HealthMonitor::stats`](crate::HealthMonitor::stats)) so existing
-//! callers see identical values.
+//! The [`Registry`] is the one metrics surface of every layer: the
+//! runtime ([`Runtime::metrics`](crate::Runtime::metrics)), the
+//! self-healing layer ([`HealthMonitor::metrics`](crate::HealthMonitor::metrics)),
+//! PC3D and the cluster simulator all record into registries, and
+//! operators read merged [`Snapshot`]s, rendered as text by
+//! [`MonitorReport`](crate::MonitorReport).
 //!
 //! Names are dotted lowercase paths (`gate.rejected_dispatches`,
 //! `compile.cycles`, `health.quarantines`), so a merged

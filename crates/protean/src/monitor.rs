@@ -14,9 +14,8 @@ use machine::PerfCounters;
 use pir::FuncId;
 use simos::{Os, Pid};
 
-use crate::health::HealthMonitor;
-use crate::health::HealthStats;
-use crate::runtime::{GateStats, Runtime};
+use crate::metrics::Snapshot;
+use crate::runtime::Runtime;
 
 /// One monitoring window's derived statistics.
 #[derive(Copy, Clone, Debug, Default, PartialEq)]
@@ -166,8 +165,9 @@ impl HostMonitor {
     }
 
     /// One combined status report: the open window's rates, the
-    /// dispatch safety gate's counters, and the hottest functions. The
-    /// window is left open ([`peek`](HostMonitor::peek) semantics).
+    /// runtime's metrics (safety gate, compiles, dispatch, OSR) plus the
+    /// decode-cache counters, and the hottest functions. The window is
+    /// left open ([`peek`](HostMonitor::peek) semantics).
     pub fn report(&self, os: &Os, rt: &Runtime) -> MonitorReport {
         // Fold the interpreter's decode-cache effectiveness counters into
         // the snapshot as the `machine.decoded_*` group, so dashboards
@@ -188,27 +188,8 @@ impl HostMonitor {
             .insert("machine.decoded_fused_ops".to_string(), d.fused_ops);
         MonitorReport {
             window: self.peek(os),
-            gate: rt.gate_stats(),
-            health: None,
             metrics,
             hot: self.hot_funcs(),
-        }
-    }
-
-    /// Like [`report`](HostMonitor::report), additionally surfacing the
-    /// self-healing layer's counters next to the gate's (and folding its
-    /// `health.*` metrics into the report's merged snapshot).
-    pub fn report_with_health(
-        &self,
-        os: &Os,
-        rt: &Runtime,
-        health: &HealthMonitor,
-    ) -> MonitorReport {
-        let base = self.report(os, rt);
-        MonitorReport {
-            health: Some(health.stats()),
-            metrics: base.metrics.clone().merge(health.metrics().snapshot()),
-            ..base
         }
     }
 
@@ -218,43 +199,37 @@ impl HostMonitor {
     }
 }
 
-/// A combined runtime status snapshot: performance window, safety-gate
-/// counters, and PC-sample hotness — what an operator dashboard would
-/// scrape from the runtime.
+/// A combined runtime status snapshot: performance window, metrics, and
+/// PC-sample hotness — what an operator dashboard would scrape from the
+/// runtime. Its text form renders the counter lines (`gate:`, `health:`,
+/// `osr:`) from [`metrics`](MonitorReport::metrics).
 #[derive(Clone, Debug)]
 pub struct MonitorReport {
     /// Rates since the last window boundary (window left open).
     pub window: WindowStats,
-    /// The dispatch safety gate's cumulative counters.
-    pub gate: GateStats,
-    /// The self-healing layer's cumulative counters, when the reporting
-    /// controller runs one
-    /// ([`report_with_health`](HostMonitor::report_with_health)).
-    pub health: Option<HealthStats>,
-    /// The merged metric snapshot behind the legacy counter structs —
-    /// every `compile.*`/`gate.*`/`dispatch.*`/`osr.*` (and, with
-    /// health, `health.*`) counter, gauge, and histogram by name. The
-    /// live OSR engine ([`crate::osr`]) records through the runtime's
-    /// registry, so its arm/apply/abandon/deopt counters and the
-    /// `osr.park_to_resume_cycles` and `dispatch.first_exec_lag_cycles`
-    /// histograms arrive here without extra plumbing.
-    pub metrics: crate::metrics::Snapshot,
+    /// The merged metric snapshot — every `compile.*`/`gate.*`/
+    /// `dispatch.*`/`osr.*` (and, from a controller running the
+    /// self-healing layer, `health.*`) counter, gauge, and histogram by
+    /// name. The live OSR engine ([`crate::osr`]) records through the
+    /// runtime's registry, so its arm/apply/abandon/deopt counters and
+    /// the `osr.park_to_resume_cycles` and
+    /// `dispatch.first_exec_lag_cycles` histograms arrive here without
+    /// extra plumbing.
+    pub metrics: Snapshot,
     /// Hottest functions with their share of sample weight.
     pub hot: Vec<(FuncId, f64)>,
 }
 
 impl MonitorReport {
-    /// Builds a report from a bare metric snapshot, with empty window,
-    /// gate, and hotness sections. Aggregators that are not themselves a
+    /// Builds a report from a bare metric snapshot, with empty window
+    /// and hotness sections. Aggregators that are not themselves a
     /// [`HostMonitor`] — e.g. a cluster simulator merging thousands of
     /// per-server controller snapshots with its own `datacenter.*`
     /// registry — use this to surface their counters through the same
     /// operator-facing type the per-server controllers report.
-    pub fn from_metrics(metrics: crate::metrics::Snapshot) -> MonitorReport {
+    pub fn from_metrics(metrics: Snapshot) -> MonitorReport {
         MonitorReport {
             window: WindowStats::default(),
-            gate: GateStats::default(),
-            health: None,
             metrics,
             hot: Vec::new(),
         }
@@ -272,20 +247,54 @@ impl fmt::Display for MonitorReport {
             self.window.llc_mpki,
             self.window.busy * 100.0
         )?;
-        writeln!(f, "{}", self.gate)?;
-        if let Some(health) = &self.health {
-            writeln!(f, "{health}")?;
+        // Counter lines render from the snapshot; absent counters read 0.
+        let c = |name: &str| self.metrics.counters.get(name).copied().unwrap_or(0);
+        writeln!(
+            f,
+            "gate: {} rejected ({} unproved, {} refuted), verdict cache {} hit(s) / {} miss(es)",
+            c("gate.rejected_dispatches"),
+            c("gate.unproved_dispatches"),
+            c("gate.refuted_dispatches"),
+            c("gate.verdict_cache_hits"),
+            c("gate.verdict_cache_misses"),
+        )?;
+        if self
+            .metrics
+            .counters
+            .keys()
+            .any(|k| k.starts_with("health."))
+        {
+            writeln!(
+                f,
+                "health: {} compile failure(s) ({} retried, {} abandoned), \
+                 {} watchdog trip(s), {} checksum failure(s) ({} repaired), \
+                 {} EVT drop(s), {} quarantined ({} refused), \
+                 {} degradation(s), {} detach(es), {} recovery(ies), \
+                 {} OSR header(s) quarantined",
+                c("health.compile_failures"),
+                c("health.compile_retries"),
+                c("health.compile_gave_up"),
+                c("health.watchdog_trips"),
+                c("health.checksum_failures"),
+                c("health.cache_repairs"),
+                c("health.evt_write_failures"),
+                c("health.quarantines"),
+                c("health.rejected_quarantined"),
+                c("health.degradations"),
+                c("health.detaches"),
+                c("health.recoveries"),
+                c("health.osr_quarantines"),
+            )?;
         }
-        let osr = |name: &str| self.metrics.counters.get(name).copied().unwrap_or(0);
-        if osr("osr.armed") > 0 {
+        if c("osr.armed") > 0 {
             write!(
                 f,
                 "osr: {} armed, {} applied, {} abandoned, {} deopt(s), {} quarantined",
-                osr("osr.armed"),
-                osr("osr.applied"),
-                osr("osr.abandoned"),
-                osr("osr.deopt"),
-                osr("osr.quarantined"),
+                c("osr.armed"),
+                c("osr.applied"),
+                c("osr.abandoned"),
+                c("osr.deopt"),
+                c("osr.quarantined"),
             )?;
             if let Some(h) = self.metrics.histograms.get("osr.park_to_resume_cycles") {
                 write!(f, ", park-to-resume ~{:.0} cycles", h.mean)?;
@@ -518,8 +527,8 @@ mod tests {
         let idx = rt.install_variant_ir(&mut os, hot_id, bad).unwrap();
         assert!(rt.dispatch(&mut os, idx).is_err());
         let report = mon.report(&os, &rt);
-        assert_eq!(report.gate.rejected_dispatches, 1);
-        assert_eq!(report.gate.unproved_dispatches, 1);
+        assert_eq!(report.metrics.counters["gate.rejected_dispatches"], 1);
+        assert_eq!(report.metrics.counters["gate.unproved_dispatches"], 1);
         assert!(report.window.ips > 0.0);
         assert!(report.hot.iter().any(|(f, _)| *f == hot_id));
         let text = report.to_string();
@@ -549,7 +558,7 @@ mod tests {
     }
 
     #[test]
-    fn report_with_health_surfaces_healing_counters() {
+    fn merged_health_metrics_surface_as_a_health_line() {
         use crate::health::{HealthConfig, HealthMonitor};
         let out = Compiler::new(Options::protean()).compile(&host()).unwrap();
         let mut os = Os::new(OsConfig::small());
@@ -557,8 +566,8 @@ mod tests {
         let mut rt = Runtime::attach(&os, pid, RuntimeConfig::on_core(1)).unwrap();
         let mon = HostMonitor::new(&os, pid, 1.0);
         let mut health = HealthMonitor::new(HealthConfig::default());
-        // A plain report carries no health section.
-        assert!(mon.report(&os, &rt).health.is_none());
+        // A plain report carries no health line.
+        assert!(!mon.report(&os, &rt).to_string().contains("health:"));
         // Inject an EVT-write fault so the health layer has something to
         // count.
         let hot_id = rt.module().function_by_name("hot").unwrap();
@@ -569,11 +578,32 @@ mod tests {
             crate::FaultPlan::seeded(1).with_rate(crate::FaultKind::EvtWriteFail, 1.0),
         );
         assert!(!health.dispatch(&mut os, &mut rt, idx));
-        let report = mon.report_with_health(&os, &rt, &health);
-        assert_eq!(report.health.unwrap().evt_write_failures, 1);
+        let mut report = mon.report(&os, &rt);
+        report.metrics = report.metrics.merge(health.metrics().snapshot());
+        assert_eq!(report.metrics.counters["health.evt_write_failures"], 1);
         let text = report.to_string();
         assert!(text.contains("health:"), "{text}");
         assert!(text.contains("1 EVT drop(s)"), "{text}");
+    }
+
+    #[test]
+    fn report_from_metrics_renders_its_snapshot_counters() {
+        let mut snap = Snapshot::default();
+        snap.counters.insert("gate.rejected_dispatches".into(), 5);
+        snap.counters.insert("gate.refuted_dispatches".into(), 2);
+        snap.counters.insert("health.quarantines".into(), 1);
+        let text = MonitorReport::from_metrics(snap).to_string();
+        assert!(
+            text.contains(
+                "gate: 5 rejected (0 unproved, 2 refuted), verdict cache 0 hit(s) / 0 miss(es)"
+            ),
+            "{text}"
+        );
+        assert!(text.contains("1 quarantined (0 refused)"), "{text}");
+        // No `health.*` key, no health line; absent gate counters read 0.
+        let text = MonitorReport::from_metrics(Snapshot::default()).to_string();
+        assert!(text.contains("gate: 0 rejected"), "{text}");
+        assert!(!text.contains("health:"), "{text}");
     }
 
     #[test]

@@ -18,40 +18,6 @@ use crate::metrics::Registry;
 use crate::safety::VariantVerdict;
 use crate::trace::{self, EventKind, Subsystem, TraceFiles, Tracer};
 
-/// Aggregate counters of the dispatch safety gate.
-///
-/// Every dispatch consults a memoized [`VariantVerdict`]; the counters
-/// expose how often verdicts were reused (the near-free re-dispatch
-/// path) and how the gate split its refusals between "could not prove
-/// equivalence" and "proved inequivalent with a counterexample".
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct GateStats {
-    /// Dispatch attempts refused for any reason.
-    pub rejected_dispatches: u64,
-    /// Refusals where equivalence could not be established.
-    pub unproved_dispatches: u64,
-    /// Refusals backed by a concrete diverging counterexample.
-    pub refuted_dispatches: u64,
-    /// Dispatches that reused a memoized safety verdict.
-    pub verdict_cache_hits: u64,
-    /// Safety verdicts computed fresh.
-    pub verdict_cache_misses: u64,
-}
-
-impl fmt::Display for GateStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "gate: {} rejected ({} unproved, {} refuted), verdict cache {} hit(s) / {} miss(es)",
-            self.rejected_dispatches,
-            self.unproved_dispatches,
-            self.refuted_dispatches,
-            self.verdict_cache_hits,
-            self.verdict_cache_misses
-        )
-    }
-}
-
 /// Runtime placement and cost configuration.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub struct RuntimeConfig {
@@ -225,7 +191,7 @@ pub struct Runtime {
     /// record why the variant must never be dispatched.
     safety_verdicts: HashMap<usize, VariantVerdict>,
     /// Uniform metric surface (`compile.*`, `gate.*`, `dispatch.*`); the
-    /// legacy [`GateStats`]/cycle accessors are thin reads of it.
+    /// dispatch-count and cycle accessors are thin reads of it.
     metrics: Registry,
     /// Structured event sink for every runtime decision point.
     tracer: Tracer,
@@ -432,19 +398,6 @@ impl Runtime {
     /// *in*equivalent with a concrete counterexample.
     pub fn refuted_dispatches(&self) -> u64 {
         self.metrics.counter("gate.refuted_dispatches")
-    }
-
-    /// All safety-gate counters in one snapshot — a thin adapter over the
-    /// [`metrics`](Runtime::metrics) registry's `gate.*` counters, kept
-    /// for API compatibility.
-    pub fn gate_stats(&self) -> GateStats {
-        GateStats {
-            rejected_dispatches: self.metrics.counter("gate.rejected_dispatches"),
-            unproved_dispatches: self.metrics.counter("gate.unproved_dispatches"),
-            refuted_dispatches: self.metrics.counter("gate.refuted_dispatches"),
-            verdict_cache_hits: self.metrics.counter("gate.verdict_cache_hits"),
-            verdict_cache_misses: self.metrics.counter("gate.verdict_cache_misses"),
-        }
     }
 
     /// The runtime's metric registry (`compile.*`, `gate.*`, `dispatch.*`
@@ -1288,7 +1241,7 @@ mod tests {
     }
 
     #[test]
-    fn gate_stats_expose_verdict_cache_and_refusal_split() {
+    fn gate_counters_expose_verdict_cache_and_refusal_split() {
         let (mut os, _, mut rt) = setup(8);
         let worker = rt.module().function_by_name("worker").unwrap();
         let mut bad = rt.module().function(worker).clone();
@@ -1307,15 +1260,12 @@ mod tests {
             .unwrap();
         rt.dispatch(&mut os, good).unwrap();
         rt.dispatch(&mut os, good).unwrap();
-        let stats = rt.gate_stats();
-        assert_eq!(stats.rejected_dispatches, 2);
-        assert_eq!(stats.unproved_dispatches, 2);
-        assert_eq!(stats.refuted_dispatches, 0);
-        assert_eq!(stats.verdict_cache_misses, 2);
-        assert_eq!(stats.verdict_cache_hits, 3);
-        let text = stats.to_string();
-        assert!(text.contains("2 rejected"), "{text}");
-        assert!(text.contains("verdict cache"), "{text}");
+        let gate = |name: &str| rt.metrics().counter(name);
+        assert_eq!(gate("gate.rejected_dispatches"), 2);
+        assert_eq!(gate("gate.unproved_dispatches"), 2);
+        assert_eq!(gate("gate.refuted_dispatches"), 0);
+        assert_eq!(gate("gate.verdict_cache_misses"), 2);
+        assert_eq!(gate("gate.verdict_cache_hits"), 3);
     }
 
     #[test]

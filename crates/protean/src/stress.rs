@@ -257,11 +257,14 @@ mod tests {
             rt.fault_plan().unwrap().total_injected() > 0,
             "the chaos preset must actually inject"
         );
-        let health = eng.health().unwrap();
-        let stats = health.stats();
+        let health = eng.health().unwrap().metrics();
+        let absorbed = health.counter("health.compile_failures")
+            + health.counter("health.evt_write_failures")
+            + health.counter("health.checksum_failures");
         assert!(
-            stats.compile_failures + stats.evt_write_failures + stats.checksum_failures > 0,
-            "the health layer must have absorbed faults: {stats}"
+            absorbed > 0,
+            "the health layer must have absorbed faults: {:?}",
+            health.snapshot()
         );
         // No quarantined variant's code is installed.
         for idx in rt.quarantined_variants() {
@@ -298,7 +301,7 @@ mod tests {
             }
             (
                 eng.recompiles(),
-                eng.health().unwrap().stats(),
+                eng.health().unwrap().metrics().snapshot(),
                 rt.fault_plan().unwrap().total_injected(),
                 os.counters(pid).instructions,
             )

@@ -10,14 +10,17 @@
 //! limited to using the heavy handed approach of putting the batch
 //! application to sleep".
 //!
-//! This implementation mirrors the paper's description of the mechanism
-//! PC3D reuses as a fallback:
+//! PC3D reuses this mechanism as its fallback, and both run the one law
+//! in [`protean::nap`]; this crate is that law run standalone, once per
+//! decision window:
 //!
 //! * The co-runner's solo performance is estimated with the **flux**
-//!   technique (Section IV-F): every `flux_period` the host is frozen for
-//!   `flux_duration` and the co-runner's uncontended IPS is sampled.
-//! * A proportional controller adjusts nap intensity each decision window
-//!   to hold the co-runner at its QoS target while napping as little as
+//!   technique (Section IV-F): every [`nap::FLUX_PERIOD_SECS`] the host
+//!   is frozen for [`nap::FLUX_DURATION_SECS`] and the co-runner's
+//!   uncontended IPS is sampled ([`nap::flux`]).
+//! * The window's QoS ([`nap::qos`]) is smoothed ([`nap::smooth`]) and
+//!   a proportional step ([`nap::step`]) adjusts nap intensity to hold
+//!   the co-runner at its QoS target while napping as little as
 //!   possible.
 //!
 //! # Example
@@ -44,30 +47,17 @@
 //! # }
 //! ```
 
-use protean::ExtMonitor;
+use protean::{nap, ExtMonitor};
 use simos::{Os, Pid};
 
-/// Controller configuration.
+/// Controller configuration. The law's gains, smoothing, QoS tolerance
+/// and flux timing are the shared constants of [`protean::nap`].
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub struct ReqosConfig {
     /// Co-runner QoS target in (0, 1], e.g. 0.95.
     pub qos_target: f64,
     /// Decision-window length in simulated seconds.
     pub window_secs: f64,
-    /// Seconds between flux measurements (paper: 4 s).
-    pub flux_period_secs: f64,
-    /// Flux freeze duration (paper: 40 ms).
-    pub flux_duration_secs: f64,
-    /// Proportional gain for raising nap intensity on QoS violations.
-    pub gain_up: f64,
-    /// Proportional gain for releasing nap when QoS has headroom.
-    pub gain_down: f64,
-    /// Exponential smoothing factor for the solo-IPS estimate.
-    pub solo_ewma: f64,
-    /// Smoothing factor for the decision QoS (1.0 = unsmoothed).
-    pub qos_alpha: f64,
-    /// Measurement tolerance subtracted from the QoS target in decisions.
-    pub qos_epsilon: f64,
 }
 
 impl Default for ReqosConfig {
@@ -75,13 +65,6 @@ impl Default for ReqosConfig {
         ReqosConfig {
             qos_target: 0.95,
             window_secs: 0.5,
-            flux_period_secs: 8.0,
-            flux_duration_secs: 0.8,
-            gain_up: 1.5,
-            gain_down: 1.0,
-            solo_ewma: 0.35,
-            qos_alpha: 0.35,
-            qos_epsilon: 0.01,
         }
     }
 }
@@ -130,28 +113,15 @@ impl ReqosController {
             history: Vec::new(),
         };
         ctl.flux(os);
-        ctl.next_flux = os.now_seconds() + config.flux_period_secs;
+        ctl.next_flux = os.now_seconds() + nap::FLUX_PERIOD_SECS;
         ctl
     }
 
-    /// The flux measurement: freeze the host briefly and sample the
-    /// co-runner running alone.
+    /// The flux measurement ([`nap::flux`]): freeze the host briefly and
+    /// sample the co-runner running alone.
     fn flux(&mut self, os: &mut Os) {
-        // Freeze, let the co-runner's cache state recover, then measure
-        // the tail (see pc3d's flux for the time-scale rationale).
-        os.set_frozen(self.host, true);
-        os.advance_seconds(self.config.flux_duration_secs * 0.6);
-        let mut probe = ExtMonitor::new(os, self.corunner);
-        os.advance_seconds(self.config.flux_duration_secs * 0.4);
-        let w = probe.end_window(os);
-        os.set_frozen(self.host, false);
-        if w.ips > 0.0 {
-            self.solo_ips = if self.solo_ips == 0.0 {
-                w.ips
-            } else {
-                self.config.solo_ewma * w.ips + (1.0 - self.config.solo_ewma) * self.solo_ips
-            };
-        }
+        let reading = nap::flux(os, self.host, &[self.corunner])[0];
+        self.solo_ips = nap::blend_solo(self.solo_ips, reading);
         // The flux interval perturbed both monitors; restart their windows.
         self.ext = ExtMonitor::new(os, self.corunner);
         self.host_mon = ExtMonitor::new(os, self.host);
@@ -177,38 +147,22 @@ impl ReqosController {
     pub fn run_window(&mut self, os: &mut Os) -> WindowRecord {
         if os.now_seconds() >= self.next_flux {
             self.flux(os);
-            self.next_flux = os.now_seconds() + self.config.flux_period_secs;
+            self.next_flux = os.now_seconds() + nap::FLUX_PERIOD_SECS;
         }
         os.advance_seconds(self.config.window_secs);
         let w = self.ext.end_window(os);
         let hw = self.host_mon.end_window(os);
-        let qos = if self.solo_ips > 0.0 {
-            let raw = w.ips / self.solo_ips;
-            // A mostly-idle co-runner (a server between requests) is
-            // keeping up with its offered load.
-            if w.busy < 0.25 && raw < 1.0 {
-                1.0
-            } else {
-                raw
-            }
-        } else {
-            1.0
-        };
+        let qos = nap::qos(&w, self.solo_ips);
         // Proportional control on the *smoothed* QoS error (raw windows
         // jitter with the co-runner's own cache phases).
-        let a = self.config.qos_alpha;
-        self.qos_smooth = a * qos + (1.0 - a) * self.qos_smooth;
-        let err = (self.config.qos_target - self.config.qos_epsilon) - self.qos_smooth;
-        if err > 0.0 {
-            self.nap = (self.nap + self.config.gain_up * err).min(0.99);
-        } else {
-            self.nap = (self.nap + self.config.gain_down * err).max(0.0);
-        }
+        self.qos_smooth = nap::smooth(self.qos_smooth, qos);
+        let target = nap::effective_target(self.config.qos_target);
+        self.nap = nap::step(self.nap, self.qos_smooth, target, w.busy);
         os.set_nap(self.host, self.nap);
         let rec = WindowRecord {
             t: os.now_seconds(),
             nap: self.nap,
-            qos: qos.min(1.25),
+            qos: qos.min(nap::QOS_CAP),
             host_bps: hw.bps,
         };
         self.history.push(rec);

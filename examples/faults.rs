@@ -130,7 +130,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\nforced {:?}: EVT target back to original {original:#x}",
         health.state()
     );
-    println!("{}", health.stats());
+    print!("{}", health.metrics().snapshot());
 
     // The same story, as the structured event stream saw it: every
     // dispatch, corruption, quarantine, and ladder move, cycle-stamped.

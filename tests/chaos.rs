@@ -378,7 +378,7 @@ fn faults_degrade_the_controller_within_one_window() {
     let mut faulted = false;
     for _ in 0..240 {
         ctl.run_window(&mut os);
-        if ctl.health().stats().evt_write_failures > 0 {
+        if ctl.health().metrics().counter("health.evt_write_failures") > 0 {
             faulted = true;
             // The fault landed during this very window; the ladder must
             // already be below Healthy (nap-only) by the window's end.
