@@ -21,7 +21,6 @@ fn bench_cache(c: &mut Criterion) {
     let mut cache = Cache::new(CacheConfig {
         sets: 4096,
         ways: 16,
-        hit_latency: 0,
     });
     for line in 0..65536u64 {
         cache.fill(line, InsertPos::Mru);

@@ -5,7 +5,8 @@
 //! wall-clock numbers, so the output is bit-identical across hosts and
 //! across `PROTEAN_JOBS` worker counts. CI runs this twice (one worker
 //! vs many) and diffs the output, the same pinning strategy as the
-//! trace-determinism double-run.
+//! trace-determinism double-run, and diffs the quick-scale serial run
+//! against `crates/bench/golden/interp_matrix_quick.txt`.
 //!
 //! The matrix also cross-checks the decoded tier per cell: every
 //! simulated counter of a `decoded` row must equal its `fallback`

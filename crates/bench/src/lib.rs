@@ -95,8 +95,8 @@ pub fn interp_throughput(workload: &str, cycles: u64, reps: usize) -> InterpMeas
 }
 
 /// [`interp_throughput`] with an explicit decode mode: `fallback = true`
-/// forces the interpreter's always-decode path (no block caching, no
-/// superop fusion), the A-side of the decoded-tier A/B comparison.
+/// forces the interpreter's always-decode path (no block caching), the
+/// A-side of the decoded-tier A/B comparison.
 /// Simulated results are bit-identical in either mode; only the host
 /// wall-clock differs.
 pub fn interp_throughput_mode(
@@ -160,14 +160,13 @@ pub fn interp_matrix_rows(cycles: u64) -> Vec<String> {
         let c = os.counters(pid);
         let d = os.decode_stats(pid);
         format!(
-            "{workload},{mode},insts={},cycles={},branches={},llc_misses={},decoded_hits={},decoded_misses={},fused_ops={}",
+            "{workload},{mode},insts={},cycles={},branches={},llc_misses={},decoded_hits={},decoded_misses={}",
             c.instructions,
             c.cycles,
             c.branches,
             c.llc_misses,
             d.hits,
             d.misses,
-            d.fused_ops,
             mode = if fallback { "fallback" } else { "decoded" },
         )
     })

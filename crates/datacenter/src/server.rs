@@ -33,21 +33,9 @@ use crate::event::Cycles;
 pub fn server_machine() -> MachineConfig {
     let mut mc = MachineConfig::scaled();
     mc.cycles_per_second = 250_000;
-    mc.l1 = CacheConfig {
-        sets: 8,
-        ways: 2,
-        hit_latency: 0,
-    };
-    mc.l2 = CacheConfig {
-        sets: 16,
-        ways: 4,
-        hit_latency: 0,
-    };
-    mc.l3 = CacheConfig {
-        sets: 32,
-        ways: 8,
-        hit_latency: 0,
-    };
+    mc.l1 = CacheConfig { sets: 8, ways: 2 };
+    mc.l2 = CacheConfig { sets: 16, ways: 4 };
+    mc.l3 = CacheConfig { sets: 32, ways: 8 };
     mc
 }
 

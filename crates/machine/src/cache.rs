@@ -8,9 +8,6 @@ pub struct CacheConfig {
     pub sets: usize,
     /// Associativity.
     pub ways: usize,
-    /// Reserved for future pipelined-latency modelling (the hierarchy adds
-    /// level latencies itself).
-    pub hit_latency: u64,
 }
 
 /// Where a filled line lands in its set's LRU stack.
@@ -416,11 +413,7 @@ mod tests {
     use super::*;
 
     fn tiny() -> Cache {
-        Cache::new(CacheConfig {
-            sets: 2,
-            ways: 2,
-            hit_latency: 0,
-        })
+        Cache::new(CacheConfig { sets: 2, ways: 2 })
     }
 
     #[test]
@@ -514,11 +507,7 @@ mod tests {
 
     #[test]
     fn occupancy_filtering() {
-        let mut c = Cache::new(CacheConfig {
-            sets: 4,
-            ways: 4,
-            hit_latency: 0,
-        });
+        let mut c = Cache::new(CacheConfig { sets: 4, ways: 4 });
         for line in 0..8u64 {
             c.fill(line | (1 << 40), InsertPos::Mru);
         }
@@ -550,11 +539,7 @@ mod tests {
         // land in set 0 with partial 0x01 (resp. 2>>1 = 1, 514>>1 = 257,
         // 1026>>1 = 513 — all 1 mod 256): the SWAR scan flags every lane,
         // and only the full-tag verify may decide.
-        let mut c = Cache::new(CacheConfig {
-            sets: 2,
-            ways: 4,
-            hit_latency: 0,
-        });
+        let mut c = Cache::new(CacheConfig { sets: 2, ways: 4 });
         c.fill(2, InsertPos::Mru);
         c.fill(514, InsertPos::Mru);
         assert!(c.lookup(2));
@@ -569,11 +554,7 @@ mod tests {
         // ways = 3 leaves five padding lanes per partial word holding
         // 0xFF. Line 0x1FE sits in set 0 with partial 0xFF — it matches
         // every padding lane and every invalid way, and must still miss.
-        let mut c = Cache::new(CacheConfig {
-            sets: 2,
-            ways: 3,
-            hit_latency: 0,
-        });
+        let mut c = Cache::new(CacheConfig { sets: 2, ways: 3 });
         assert!(!c.lookup(0x1FE));
         c.fill(0x1FE, InsertPos::Mru);
         assert!(c.lookup(0x1FE));
@@ -589,11 +570,7 @@ mod tests {
     fn wide_set_scan_finds_every_way() {
         // 16 ways span two partial words; every resident line must be
         // found regardless of which word its way lands in.
-        let mut c = Cache::new(CacheConfig {
-            sets: 2,
-            ways: 16,
-            hit_latency: 0,
-        });
+        let mut c = Cache::new(CacheConfig { sets: 2, ways: 16 });
         let lines: Vec<u64> = (0..16u64).map(|i| i * 2).collect();
         for &l in &lines {
             c.fill(l, InsertPos::Mru);
@@ -607,32 +584,20 @@ mod tests {
     #[test]
     #[should_panic(expected = "power of two")]
     fn non_pow2_sets_rejected() {
-        let _ = Cache::new(CacheConfig {
-            sets: 3,
-            ways: 2,
-            hit_latency: 0,
-        });
+        let _ = Cache::new(CacheConfig { sets: 3, ways: 2 });
     }
 
     #[test]
     #[should_panic(expected = "between 1 and 64")]
     fn more_than_64_ways_rejected() {
-        let _ = Cache::new(CacheConfig {
-            sets: 2,
-            ways: 65,
-            hit_latency: 0,
-        });
+        let _ = Cache::new(CacheConfig { sets: 2, ways: 65 });
     }
 
     #[test]
     fn sixty_four_ways_keep_true_lru() {
         // The widest geometry the LRU-insert mask allows: the order spans
         // eight words and way 63 uses the mask's top bit.
-        let mut c = Cache::new(CacheConfig {
-            sets: 1,
-            ways: 64,
-            hit_latency: 0,
-        });
+        let mut c = Cache::new(CacheConfig { sets: 1, ways: 64 });
         for line in 0..64u64 {
             c.fill(line, InsertPos::Mru);
         }
@@ -658,11 +623,7 @@ mod tests {
         // A resident working set protected by NT streaming: stream with
         // LRU-insert touches each set once per pass and should displace at
         // most one way per set.
-        let mut c = Cache::new(CacheConfig {
-            sets: 16,
-            ways: 4,
-            hit_latency: 0,
-        });
+        let mut c = Cache::new(CacheConfig { sets: 16, ways: 4 });
         // Resident set: 32 lines (half the cache).
         for line in 0..32u64 {
             c.fill(line, InsertPos::Mru);
@@ -679,11 +640,7 @@ mod tests {
             "NT streaming should preserve most of the resident set, kept {resident_left}/32"
         );
         // Contrast: MRU streaming wipes the resident set.
-        let mut c2 = Cache::new(CacheConfig {
-            sets: 16,
-            ways: 4,
-            hit_latency: 0,
-        });
+        let mut c2 = Cache::new(CacheConfig { sets: 16, ways: 4 });
         for line in 0..32u64 {
             c2.fill(line, InsertPos::Mru);
         }

@@ -123,20 +123,14 @@ impl Default for MachineConfig {
     fn default() -> Self {
         MachineConfig {
             cores: 4,
-            l1: CacheConfig {
-                sets: 64,
-                ways: 8,
-                hit_latency: 0,
-            },
+            l1: CacheConfig { sets: 64, ways: 8 },
             l2: CacheConfig {
                 sets: 1024,
                 ways: 8,
-                hit_latency: 0,
             },
             l3: CacheConfig {
                 sets: 4096,
                 ways: 24,
-                hit_latency: 0,
             },
             line_bytes: 64,
             l2_latency: 8,
@@ -161,20 +155,11 @@ impl MachineConfig {
     pub fn scaled() -> Self {
         MachineConfig {
             cores: 4,
-            l1: CacheConfig {
-                sets: 16,
-                ways: 2,
-                hit_latency: 0,
-            },
-            l2: CacheConfig {
-                sets: 64,
-                ways: 4,
-                hit_latency: 0,
-            },
+            l1: CacheConfig { sets: 16, ways: 2 },
+            l2: CacheConfig { sets: 64, ways: 4 },
             l3: CacheConfig {
                 sets: 128,
                 ways: 16,
-                hit_latency: 0,
             },
             line_bytes: 64,
             l2_latency: 8,
@@ -191,21 +176,9 @@ impl MachineConfig {
     pub fn small() -> Self {
         MachineConfig {
             cores: 2,
-            l1: CacheConfig {
-                sets: 8,
-                ways: 2,
-                hit_latency: 0,
-            },
-            l2: CacheConfig {
-                sets: 16,
-                ways: 4,
-                hit_latency: 0,
-            },
-            l3: CacheConfig {
-                sets: 32,
-                ways: 4,
-                hit_latency: 0,
-            },
+            l1: CacheConfig { sets: 8, ways: 2 },
+            l2: CacheConfig { sets: 16, ways: 4 },
+            l3: CacheConfig { sets: 32, ways: 4 },
             line_bytes: 64,
             l2_latency: 8,
             l3_latency: 30,

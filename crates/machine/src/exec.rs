@@ -15,13 +15,11 @@
 //! PC to a `Vec<DecodedOp>` decoded once on first dispatch. A decoded op
 //! is operand-resolved — register numbers extracted, immediates widened,
 //! call arguments copied out of the text op's heap `Vec` into an inline
-//! array — so replay never touches the `Op` encoding again. During decode,
-//! dominant adjacent pairs (compare+branch, load+ALU) are fused into
-//! superops, halving dispatch iterations on loop-shaped code. A fused pair
-//! still charges and budget-checks **per constituent instruction**, so
+//! array — so replay never touches the `Op` encoding again. Decoding is
+//! 1:1: the op at index `i` of a block entered at `pc` is the text op at
+//! `pc + i`, and the budget is checked before every one of them, so
 //! quantum boundaries, instruction counts, PC samples, and OSR park points
-//! are bit-identical to unfused execution (the same preservation argument
-//! block dispatch makes for its per-instruction budget gate).
+//! are those of per-op dispatch.
 //!
 //! Unlike the earlier range-based cache, decoded blocks are *copies* of
 //! the ops, so staleness would mean executing stale instructions — not
@@ -43,9 +41,9 @@
 //!
 //! For differential testing, [`BlockCache::set_fallback`] forces an
 //! *always-decode* path: every dispatch decodes the block fresh, without
-//! caching and without fusion. The fallback exercises identical op
-//! semantics through the same replay loop, so a decoded-tier bug shows up
-//! as a bit-level divergence in `tests/fastpath.rs`'s A/B suites.
+//! caching. The fallback exercises identical op semantics through the
+//! same replay loop, so a decoded-tier bug shows up as a bit-level
+//! divergence in `tests/fastpath.rs`'s A/B suites.
 
 use std::collections::HashSet;
 
@@ -98,8 +96,7 @@ pub enum ExecStatus {
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub struct RunResult {
     /// Cycles actually consumed. The budget is checked before every
-    /// instruction (fused superops included, per constituent), so the
-    /// overshoot is bounded by one instruction's cost.
+    /// instruction, so the overshoot is bounded by one instruction's cost.
     pub cycles: u64,
     /// Why execution stopped.
     pub stop: StopReason,
@@ -112,13 +109,14 @@ pub struct RunResult {
 pub struct DecodeStats {
     /// Dispatches served from an already-decoded block.
     pub hits: u64,
-    /// Blocks decoded (first dispatch, always-decode fallback, and OSR
-    /// park-clamped re-decodes).
+    /// Blocks decoded: the first dispatch of each cached block, and
+    /// every dispatch under the always-decode fallback.
     pub misses: u64,
     /// Wholesale discards of the decoded set (generation or text-length
     /// resync that actually dropped blocks).
     pub invalidations: u64,
-    /// Superops formed during decode (each replaces two text ops).
+    /// Always 0: decoding is 1:1 and forms no superops. Kept because the
+    /// `perfbench` benchmark still reads it.
     pub fused_ops: u64,
 }
 
@@ -146,9 +144,7 @@ impl ArgList {
     }
 }
 
-/// One operand-resolved instruction, plus the fused superops. Superop
-/// variants cover exactly two text ops and execute their constituents in
-/// original order with per-constituent cycle charging.
+/// One operand-resolved instruction; a block holds one per text op.
 #[derive(Copy, Clone, Debug)]
 enum DecodedOp {
     Movi {
@@ -211,133 +207,30 @@ enum DecodedOp {
     },
     Wait,
     Halt,
-    /// `AluImm` (typically a loop-exit compare) fused with `Bnz`.
-    AluImmBnz {
-        op: pir::BinOp,
-        dst: PReg,
-        a: PReg,
-        imm: i64,
-        cond: PReg,
-        target: u32,
-    },
-    /// `AluImm` fused with `Bz`.
-    AluImmBz {
-        op: pir::BinOp,
-        dst: PReg,
-        a: PReg,
-        imm: i64,
-        cond: PReg,
-        target: u32,
-    },
-    /// Register-register `Alu` fused with `Bnz`.
-    AluBnz {
-        op: pir::BinOp,
-        dst: PReg,
-        a: PReg,
-        b: PReg,
-        cond: PReg,
-        target: u32,
-    },
-    /// Register-register `Alu` fused with `Bz`.
-    AluBz {
-        op: pir::BinOp,
-        dst: PReg,
-        a: PReg,
-        b: PReg,
-        cond: PReg,
-        target: u32,
-    },
-    /// `Load` fused with a following `AluImm` (pointer bump / strided
-    /// index update).
-    LoadAluImm {
-        ldst: PReg,
-        base: PReg,
-        offset: i64,
-        op: pir::BinOp,
-        dst: PReg,
-        a: PReg,
-        imm: i64,
-    },
-    /// `Load` fused with a following register-register `Alu`
-    /// (load + accumulate).
-    LoadAlu {
-        ldst: PReg,
-        base: PReg,
-        offset: i64,
-        op: pir::BinOp,
-        dst: PReg,
-        a: PReg,
-        b: PReg,
-    },
-    /// Two adjacent `Load`s (unrolled streaming reads — the dominant
-    /// adjacent pair in the array workloads).
-    LoadLoad {
-        dst1: PReg,
-        base1: PReg,
-        off1: i64,
-        dst2: PReg,
-        base2: PReg,
-        off2: i64,
-    },
-    /// Two adjacent `AluImm`s (index bump + address compute).
-    AluImmAluImm {
-        op1: pir::BinOp,
-        dst1: PReg,
-        a1: PReg,
-        imm1: i64,
-        op2: pir::BinOp,
-        dst2: PReg,
-        a2: PReg,
-        imm2: i64,
-    },
-    /// `AluImm` followed by a register-register `Alu`.
-    AluImmAlu {
-        op1: pir::BinOp,
-        dst1: PReg,
-        a1: PReg,
-        imm1: i64,
-        op2: pir::BinOp,
-        dst2: PReg,
-        a2: PReg,
-        b2: PReg,
-    },
 }
-
-/// One decoded block: the superop vector plus the number of *text* ops it
-/// covers (straight-line run + terminator; fusion makes `ops.len()`
-/// smaller than `text_len`).
-#[derive(Clone, Debug, Default)]
-struct DecodedBlock {
-    ops: Vec<DecodedOp>,
-    text_len: u32,
-}
-
-/// Handle marking the scratch (uncached) decode slot.
-const SCRATCH: u32 = u32::MAX;
 
 /// Decoded-block cache for one text space.
 ///
 /// Maps entry PC → a pre-decoded op vector for the basic block starting
 /// there (straight-line ops plus the terminating control-flow op, capped
-/// at `MAX_BLOCK_OPS` text ops). Blocks are decoded lazily on first
-/// dispatch and discarded wholesale when the text generation or length
-/// moves; retired vectors are pooled for reuse across invalidations.
+/// at `MAX_BLOCK_OPS` ops). Blocks are decoded lazily on first dispatch
+/// and discarded wholesale when the text generation or length moves;
+/// retired vectors are pooled for reuse across invalidations.
 #[derive(Clone, Debug, Default)]
 pub struct BlockCache {
     /// Generation of the text the current entries were decoded against.
     gen: u64,
-    /// Decoded-block handle + 1 keyed by entry PC; 0 = not yet decoded.
+    /// Decoded-block index + 1 keyed by entry PC; 0 = not yet decoded.
     idx_at: Vec<u32>,
-    /// Decoded blocks, indexed by handle.
-    blocks: Vec<DecodedBlock>,
+    /// Decoded blocks, one op per text op.
+    blocks: Vec<Vec<DecodedOp>>,
     /// Retired op vectors (capacity kept), reused by later decodes so a
     /// patch storm re-decodes into warm allocations.
     pool: Vec<Vec<DecodedOp>>,
-    /// Uncached decode slot for the always-decode fallback and for OSR
-    /// park-clamped dispatches.
-    scratch: DecodedBlock,
-    /// Forced always-decode mode: every dispatch decodes fresh, unfused
-    /// and uncached (differential-testing reference path).
+    /// Uncached decode slot for the always-decode fallback.
+    scratch: Vec<DecodedOp>,
+    /// Forced always-decode mode: every dispatch decodes fresh and
+    /// uncached (differential-testing reference path).
     fallback: bool,
     stats: DecodeStats,
 }
@@ -349,8 +242,8 @@ impl BlockCache {
     }
 
     /// Forces (or releases) the always-decode fallback path: no caching,
-    /// no fusion, every dispatch decodes the block fresh. Simulated
-    /// results are bit-identical in either mode; only wall-clock and the
+    /// every dispatch decodes the block fresh. Simulated results are
+    /// bit-identical in either mode; only wall-clock and the
     /// [`DecodeStats`] mix change.
     pub fn set_fallback(&mut self, on: bool) {
         self.fallback = on;
@@ -377,61 +270,42 @@ impl BlockCache {
             }
             self.idx_at.clear();
             self.idx_at.resize(text_len, 0);
-            for mut b in self.blocks.drain(..) {
-                b.ops.clear();
-                self.pool.push(b.ops);
+            for mut ops in self.blocks.drain(..) {
+                ops.clear();
+                self.pool.push(ops);
             }
             self.gen = gen;
         }
     }
 
-    /// Resolves the decoded block entered at `pc`, decoding (with fusion)
-    /// and caching it if unseen. Returns `(handle, text_len)`; `None`
-    /// when `pc` is outside text.
+    /// Resolves the decoded block entered at `pc`, decoding and caching
+    /// it if unseen. `None` when `pc` is outside text.
     #[inline]
-    fn ensure(&mut self, pc: u32, text: &[Op]) -> Option<(u32, u32)> {
+    fn ensure(&mut self, pc: u32, text: &[Op]) -> Option<&[DecodedOp]> {
         let start = pc as usize;
         let slot = *self.idx_at.get(start)?;
         if slot != 0 {
             self.stats.hits += 1;
-            let handle = slot - 1;
-            return Some((handle, self.blocks[handle as usize].text_len));
+            return Some(&self.blocks[slot as usize - 1]);
         }
         self.stats.misses += 1;
         let mut ops = self.pool.pop().unwrap_or_default();
-        let (text_len, fused) = decode_block(text, start, MAX_BLOCK_OPS, true, &mut ops);
-        self.stats.fused_ops += fused;
-        let handle = self.blocks.len() as u32;
-        self.blocks.push(DecodedBlock { ops, text_len });
-        self.idx_at[start] = handle + 1;
-        Some((handle, text_len))
+        decode_block(text, start, &mut ops);
+        self.blocks.push(ops);
+        self.idx_at[start] = self.blocks.len() as u32;
+        self.blocks.last().map(Vec::as_slice)
     }
 
-    /// Decodes the block at `pc` into the scratch slot: unfused, uncached,
-    /// covering at most `max_ops` text ops. Used by the always-decode
-    /// fallback and by OSR park-clamped dispatches (the clamp cuts at an
-    /// arbitrary text offset, which only a 1:1 decode can honor).
-    fn decode_scratch(&mut self, pc: u32, max_ops: usize, text: &[Op]) -> Option<(u32, u32)> {
+    /// Decodes the block at `pc` into the scratch slot, uncached (the
+    /// always-decode fallback). `None` when `pc` is outside text.
+    fn decode_scratch(&mut self, pc: u32, text: &[Op]) -> Option<&[DecodedOp]> {
         let start = pc as usize;
         if start >= text.len() {
             return None;
         }
         self.stats.misses += 1;
-        let mut ops = std::mem::take(&mut self.scratch.ops);
-        let (text_len, _) = decode_block(text, start, max_ops, false, &mut ops);
-        self.scratch = DecodedBlock { ops, text_len };
-        Some((SCRATCH, text_len))
-    }
-
-    /// The op vector behind a handle returned by [`Self::ensure`] or
-    /// [`Self::decode_scratch`].
-    #[inline]
-    fn ops_of(&self, handle: u32) -> &[DecodedOp] {
-        if handle == SCRATCH {
-            &self.scratch.ops
-        } else {
-            &self.blocks[handle as usize].ops
-        }
+        decode_block(text, start, &mut self.scratch);
+        Some(&self.scratch)
     }
 }
 
@@ -451,40 +325,16 @@ fn is_straight(op: &Op) -> bool {
 }
 
 /// Decodes the basic block at `start` (straight-line run plus terminator,
-/// capped at `max_ops` text ops) into `out`, optionally fusing adjacent
-/// pairs. Returns the number of text ops covered and the superops formed.
-fn decode_block(
-    text: &[Op],
-    start: usize,
-    max_ops: usize,
-    fuse: bool,
-    out: &mut Vec<DecodedOp>,
-) -> (u32, u64) {
+/// capped at `MAX_BLOCK_OPS` ops) into `out`, one decoded op per text op.
+fn decode_block(text: &[Op], start: usize, out: &mut Vec<DecodedOp>) {
     out.clear();
-    let cap = text.len().min(start.saturating_add(max_ops));
-    let mut end = start;
-    while end < cap {
-        let straight = is_straight(&text[end]);
-        end += 1;
-        if !straight {
+    let end = text.len().min(start.saturating_add(MAX_BLOCK_OPS));
+    for op in &text[start..end] {
+        out.push(decode_one(op));
+        if !is_straight(op) {
             break;
         }
     }
-    let mut fused = 0u64;
-    let mut i = start;
-    while i < end {
-        if fuse && i + 1 < end {
-            if let Some(sop) = fuse_pair(&text[i], &text[i + 1]) {
-                out.push(sop);
-                fused += 1;
-                i += 2;
-                continue;
-            }
-        }
-        out.push(decode_one(&text[i]));
-        i += 1;
-    }
-    ((end - start) as u32, fused)
 }
 
 /// 1:1 decode of a single text op.
@@ -546,132 +396,6 @@ fn decode_one(op: &Op) -> DecodedOp {
         },
         Op::Wait => DecodedOp::Wait,
         Op::Halt => DecodedOp::Halt,
-    }
-}
-
-/// Fuses the dominant adjacent pairs: compare+branch (`AluImm`/`Alu`
-/// followed by `Bnz`/`Bz`) and load+ALU (`Load` followed by
-/// `AluImm`/`Alu`). Any pair shape not listed decodes 1:1.
-fn fuse_pair(first: &Op, second: &Op) -> Option<DecodedOp> {
-    match (first, second) {
-        (Op::AluImm { op, dst, a, imm }, Op::Bnz { cond, target }) => Some(DecodedOp::AluImmBnz {
-            op: *op,
-            dst: *dst,
-            a: *a,
-            imm: *imm,
-            cond: *cond,
-            target: *target,
-        }),
-        (Op::AluImm { op, dst, a, imm }, Op::Bz { cond, target }) => Some(DecodedOp::AluImmBz {
-            op: *op,
-            dst: *dst,
-            a: *a,
-            imm: *imm,
-            cond: *cond,
-            target: *target,
-        }),
-        (Op::Alu { op, dst, a, b }, Op::Bnz { cond, target }) => Some(DecodedOp::AluBnz {
-            op: *op,
-            dst: *dst,
-            a: *a,
-            b: *b,
-            cond: *cond,
-            target: *target,
-        }),
-        (Op::Alu { op, dst, a, b }, Op::Bz { cond, target }) => Some(DecodedOp::AluBz {
-            op: *op,
-            dst: *dst,
-            a: *a,
-            b: *b,
-            cond: *cond,
-            target: *target,
-        }),
-        (
-            Op::Load { dst, base, offset },
-            Op::AluImm {
-                op,
-                dst: adst,
-                a,
-                imm,
-            },
-        ) => Some(DecodedOp::LoadAluImm {
-            ldst: *dst,
-            base: *base,
-            offset: *offset,
-            op: *op,
-            dst: *adst,
-            a: *a,
-            imm: *imm,
-        }),
-        (
-            Op::Load { dst, base, offset },
-            Op::Alu {
-                op,
-                dst: adst,
-                a,
-                b,
-            },
-        ) => Some(DecodedOp::LoadAlu {
-            ldst: *dst,
-            base: *base,
-            offset: *offset,
-            op: *op,
-            dst: *adst,
-            a: *a,
-            b: *b,
-        }),
-        (
-            Op::Load { dst, base, offset },
-            Op::Load {
-                dst: dst2,
-                base: base2,
-                offset: off2,
-            },
-        ) => Some(DecodedOp::LoadLoad {
-            dst1: *dst,
-            base1: *base,
-            off1: *offset,
-            dst2: *dst2,
-            base2: *base2,
-            off2: *off2,
-        }),
-        (
-            Op::AluImm { op, dst, a, imm },
-            Op::AluImm {
-                op: op2,
-                dst: dst2,
-                a: a2,
-                imm: imm2,
-            },
-        ) => Some(DecodedOp::AluImmAluImm {
-            op1: *op,
-            dst1: *dst,
-            a1: *a,
-            imm1: *imm,
-            op2: *op2,
-            dst2: *dst2,
-            a2: *a2,
-            imm2: *imm2,
-        }),
-        (
-            Op::AluImm { op, dst, a, imm },
-            Op::Alu {
-                op: op2,
-                dst: dst2,
-                a: a2,
-                b,
-            },
-        ) => Some(DecodedOp::AluImmAlu {
-            op1: *op,
-            dst1: *dst,
-            a1: *a,
-            imm1: *imm,
-            op2: *op2,
-            dst2: *dst2,
-            a2: *a2,
-            b2: *b,
-        }),
-        _ => None,
     }
 }
 
@@ -1099,41 +823,31 @@ fn run_impl<const BT: bool>(
             }
         }
         let resolved = if fallback {
-            env.blocks.decode_scratch(pc, MAX_BLOCK_OPS, text)
+            env.blocks.decode_scratch(pc, text)
         } else {
             env.blocks.ensure(pc, text)
         };
-        let Some((mut handle, mut tlen)) = resolved else {
+        let Some(mut ops) = resolved else {
             break fault(ctx, u64::from(pc));
         };
         // An armed park PC acts as a block boundary: a header entered by
-        // fall-through may be fused into its predecessor's straight-line
-        // decoding, so re-decode a clamped 1:1 run (the cached block is
-        // untouched — a superop may straddle the cut, which only an
-        // unfused decode can honor) to make the next loop-top entry land
+        // fall-through sits inside its predecessor's decoded block, so run
+        // only the ops before it and let the next loop-top entry land
         // exactly on the park PC. Execution order, cycle charges, and
         // quantum boundaries are identical either way — only the gate's
         // visibility changes.
         if let Some(park) = ctx.osr {
-            if park.pc > pc && u64::from(park.pc) < u64::from(pc) + u64::from(tlen) {
-                let clamped = env
-                    .blocks
-                    .decode_scratch(pc, (park.pc - pc) as usize, text)
-                    .expect("clamped block starts inside text");
-                handle = clamped.0;
-                tlen = clamped.1;
+            if park.pc > pc && ((park.pc - pc) as usize) < ops.len() {
+                ops = &ops[..(park.pc - pc) as usize];
             }
         }
         let start = pc as usize;
-        let ops = env.blocks.ops_of(handle);
-        // `tpc` is the text address of the op being executed; superops
-        // advance it past their first constituent inside the arm.
+        // `tpc` is the text address of the op being executed.
         let mut tpc = start;
         for dop in ops {
             // The budget gate is per instruction, exactly as per-op
-            // dispatch (superop constituents included, below): quantum
-            // boundaries land on the same instruction, so
-            // schedule-sensitive simulations are unchanged.
+            // dispatch: quantum boundaries land on the same instruction,
+            // so schedule-sensitive simulations are unchanged.
             if used >= budget {
                 pc = tpc as u32;
                 break 'dispatch StopReason::BudgetExhausted;
@@ -1377,360 +1091,15 @@ fn run_impl<const BT: bool>(
                     ctx.status = ExecStatus::Halted;
                     break 'dispatch StopReason::Halted;
                 }
-                // Superops. Each constituent charges cycles, counts as an
-                // instruction, pays its own BT tax, and re-checks the
-                // budget exactly as the unfused pair would, so quantum
-                // boundaries and PC samples are bit-identical.
-                DecodedOp::AluImmBnz {
-                    op,
-                    dst,
-                    a,
-                    imm,
-                    cond,
-                    target,
-                } => {
-                    used += costs.alu + bt_inst_tax;
-                    let v = op.eval(ctx.reg(a), imm);
-                    ctx.set_reg(dst, v);
-                    if used >= budget {
-                        pc = (tpc + 1) as u32;
-                        break 'dispatch StopReason::BudgetExhausted;
-                    }
-                    insts += 1;
-                    let tax2 = if BT {
-                        ctx.bt.as_mut().expect("BT mode").charge_inst()
-                    } else {
-                        0
-                    };
-                    branches += 1;
-                    let mut cost = costs.branch;
-                    if ctx.reg(cond) != 0 {
-                        if BT {
-                            cost += ctx
-                                .bt
-                                .as_mut()
-                                .expect("BT mode")
-                                .charge_branch(target, false);
-                        }
-                        used += cost + tax2;
-                        pc = target;
-                        continue 'dispatch;
-                    }
-                    used += cost + tax2;
-                    tpc += 1;
-                }
-                DecodedOp::AluImmBz {
-                    op,
-                    dst,
-                    a,
-                    imm,
-                    cond,
-                    target,
-                } => {
-                    used += costs.alu + bt_inst_tax;
-                    let v = op.eval(ctx.reg(a), imm);
-                    ctx.set_reg(dst, v);
-                    if used >= budget {
-                        pc = (tpc + 1) as u32;
-                        break 'dispatch StopReason::BudgetExhausted;
-                    }
-                    insts += 1;
-                    let tax2 = if BT {
-                        ctx.bt.as_mut().expect("BT mode").charge_inst()
-                    } else {
-                        0
-                    };
-                    branches += 1;
-                    let mut cost = costs.branch;
-                    if ctx.reg(cond) == 0 {
-                        if BT {
-                            cost += ctx
-                                .bt
-                                .as_mut()
-                                .expect("BT mode")
-                                .charge_branch(target, false);
-                        }
-                        used += cost + tax2;
-                        pc = target;
-                        continue 'dispatch;
-                    }
-                    used += cost + tax2;
-                    tpc += 1;
-                }
-                DecodedOp::AluBnz {
-                    op,
-                    dst,
-                    a,
-                    b,
-                    cond,
-                    target,
-                } => {
-                    used += costs.alu + bt_inst_tax;
-                    let v = op.eval(ctx.reg(a), ctx.reg(b));
-                    ctx.set_reg(dst, v);
-                    if used >= budget {
-                        pc = (tpc + 1) as u32;
-                        break 'dispatch StopReason::BudgetExhausted;
-                    }
-                    insts += 1;
-                    let tax2 = if BT {
-                        ctx.bt.as_mut().expect("BT mode").charge_inst()
-                    } else {
-                        0
-                    };
-                    branches += 1;
-                    let mut cost = costs.branch;
-                    if ctx.reg(cond) != 0 {
-                        if BT {
-                            cost += ctx
-                                .bt
-                                .as_mut()
-                                .expect("BT mode")
-                                .charge_branch(target, false);
-                        }
-                        used += cost + tax2;
-                        pc = target;
-                        continue 'dispatch;
-                    }
-                    used += cost + tax2;
-                    tpc += 1;
-                }
-                DecodedOp::AluBz {
-                    op,
-                    dst,
-                    a,
-                    b,
-                    cond,
-                    target,
-                } => {
-                    used += costs.alu + bt_inst_tax;
-                    let v = op.eval(ctx.reg(a), ctx.reg(b));
-                    ctx.set_reg(dst, v);
-                    if used >= budget {
-                        pc = (tpc + 1) as u32;
-                        break 'dispatch StopReason::BudgetExhausted;
-                    }
-                    insts += 1;
-                    let tax2 = if BT {
-                        ctx.bt.as_mut().expect("BT mode").charge_inst()
-                    } else {
-                        0
-                    };
-                    branches += 1;
-                    let mut cost = costs.branch;
-                    if ctx.reg(cond) == 0 {
-                        if BT {
-                            cost += ctx
-                                .bt
-                                .as_mut()
-                                .expect("BT mode")
-                                .charge_branch(target, false);
-                        }
-                        used += cost + tax2;
-                        pc = target;
-                        continue 'dispatch;
-                    }
-                    used += cost + tax2;
-                    tpc += 1;
-                }
-                DecodedOp::LoadAluImm {
-                    ldst,
-                    base,
-                    offset,
-                    op,
-                    dst,
-                    a,
-                    imm,
-                } => {
-                    let addr = ctx.reg(base).wrapping_add(offset) as u64;
-                    if !in_bounds(addr, data_len) {
-                        pc = tpc as u32;
-                        break 'dispatch fault(ctx, addr);
-                    }
-                    used += costs.alu
-                        + bt_inst_tax
-                        + env.mem.access(
-                            env.core,
-                            phys_addr(ctx.space, addr),
-                            AccessKind::Load,
-                            env.counters,
-                        );
-                    let ad = addr as usize;
-                    let v = i64::from_le_bytes(env.data[ad..ad + 8].try_into().expect("8 bytes"));
-                    ctx.set_reg(ldst, v);
-                    if used >= budget {
-                        pc = (tpc + 1) as u32;
-                        break 'dispatch StopReason::BudgetExhausted;
-                    }
-                    insts += 1;
-                    let tax2 = if BT {
-                        ctx.bt.as_mut().expect("BT mode").charge_inst()
-                    } else {
-                        0
-                    };
-                    used += costs.alu + tax2;
-                    let v2 = op.eval(ctx.reg(a), imm);
-                    ctx.set_reg(dst, v2);
-                    tpc += 1;
-                }
-                DecodedOp::LoadAlu {
-                    ldst,
-                    base,
-                    offset,
-                    op,
-                    dst,
-                    a,
-                    b,
-                } => {
-                    let addr = ctx.reg(base).wrapping_add(offset) as u64;
-                    if !in_bounds(addr, data_len) {
-                        pc = tpc as u32;
-                        break 'dispatch fault(ctx, addr);
-                    }
-                    used += costs.alu
-                        + bt_inst_tax
-                        + env.mem.access(
-                            env.core,
-                            phys_addr(ctx.space, addr),
-                            AccessKind::Load,
-                            env.counters,
-                        );
-                    let ad = addr as usize;
-                    let v = i64::from_le_bytes(env.data[ad..ad + 8].try_into().expect("8 bytes"));
-                    ctx.set_reg(ldst, v);
-                    if used >= budget {
-                        pc = (tpc + 1) as u32;
-                        break 'dispatch StopReason::BudgetExhausted;
-                    }
-                    insts += 1;
-                    let tax2 = if BT {
-                        ctx.bt.as_mut().expect("BT mode").charge_inst()
-                    } else {
-                        0
-                    };
-                    used += costs.alu + tax2;
-                    let v2 = op.eval(ctx.reg(a), ctx.reg(b));
-                    ctx.set_reg(dst, v2);
-                    tpc += 1;
-                }
-                DecodedOp::LoadLoad {
-                    dst1,
-                    base1,
-                    off1,
-                    dst2,
-                    base2,
-                    off2,
-                } => {
-                    let addr = ctx.reg(base1).wrapping_add(off1) as u64;
-                    if !in_bounds(addr, data_len) {
-                        pc = tpc as u32;
-                        break 'dispatch fault(ctx, addr);
-                    }
-                    used += costs.alu
-                        + bt_inst_tax
-                        + env.mem.access(
-                            env.core,
-                            phys_addr(ctx.space, addr),
-                            AccessKind::Load,
-                            env.counters,
-                        );
-                    let ad = addr as usize;
-                    let v = i64::from_le_bytes(env.data[ad..ad + 8].try_into().expect("8 bytes"));
-                    ctx.set_reg(dst1, v);
-                    if used >= budget {
-                        pc = (tpc + 1) as u32;
-                        break 'dispatch StopReason::BudgetExhausted;
-                    }
-                    insts += 1;
-                    let tax2 = if BT {
-                        ctx.bt.as_mut().expect("BT mode").charge_inst()
-                    } else {
-                        0
-                    };
-                    let addr2 = ctx.reg(base2).wrapping_add(off2) as u64;
-                    if !in_bounds(addr2, data_len) {
-                        pc = (tpc + 1) as u32;
-                        break 'dispatch fault(ctx, addr2);
-                    }
-                    used += costs.alu
-                        + tax2
-                        + env.mem.access(
-                            env.core,
-                            phys_addr(ctx.space, addr2),
-                            AccessKind::Load,
-                            env.counters,
-                        );
-                    let ad2 = addr2 as usize;
-                    let v2 =
-                        i64::from_le_bytes(env.data[ad2..ad2 + 8].try_into().expect("8 bytes"));
-                    ctx.set_reg(dst2, v2);
-                    tpc += 1;
-                }
-                DecodedOp::AluImmAluImm {
-                    op1,
-                    dst1,
-                    a1,
-                    imm1,
-                    op2,
-                    dst2,
-                    a2,
-                    imm2,
-                } => {
-                    used += costs.alu + bt_inst_tax;
-                    let v = op1.eval(ctx.reg(a1), imm1);
-                    ctx.set_reg(dst1, v);
-                    if used >= budget {
-                        pc = (tpc + 1) as u32;
-                        break 'dispatch StopReason::BudgetExhausted;
-                    }
-                    insts += 1;
-                    let tax2 = if BT {
-                        ctx.bt.as_mut().expect("BT mode").charge_inst()
-                    } else {
-                        0
-                    };
-                    used += costs.alu + tax2;
-                    let v2 = op2.eval(ctx.reg(a2), imm2);
-                    ctx.set_reg(dst2, v2);
-                    tpc += 1;
-                }
-                DecodedOp::AluImmAlu {
-                    op1,
-                    dst1,
-                    a1,
-                    imm1,
-                    op2,
-                    dst2,
-                    a2,
-                    b2,
-                } => {
-                    used += costs.alu + bt_inst_tax;
-                    let v = op1.eval(ctx.reg(a1), imm1);
-                    ctx.set_reg(dst1, v);
-                    if used >= budget {
-                        pc = (tpc + 1) as u32;
-                        break 'dispatch StopReason::BudgetExhausted;
-                    }
-                    insts += 1;
-                    let tax2 = if BT {
-                        ctx.bt.as_mut().expect("BT mode").charge_inst()
-                    } else {
-                        0
-                    };
-                    used += costs.alu + tax2;
-                    let v2 = op2.eval(ctx.reg(a2), ctx.reg(b2));
-                    ctx.set_reg(dst2, v2);
-                    tpc += 1;
-                }
             }
             tpc += 1;
         }
         // Fall through past the block's end to the next sequential block.
-        let next = start as u64 + u64::from(tlen);
+        let next = (start + ops.len()) as u64;
         match u32::try_from(next) {
             Ok(next_pc) => pc = next_pc,
             Err(_) => {
-                pc = (start + tlen as usize - 1) as u32;
+                pc = (start + ops.len() - 1) as u32;
                 break fault(ctx, next);
             }
         }
@@ -2716,12 +2085,11 @@ mod tests {
         assert_eq!(counters.llc_misses, 64);
         assert!(counters.cycles > 64 * 180);
     }
-    /// A fusion-rich program exercising every superop shape: loop 1
-    /// pairs Load+Alu and AluImm+AluImm, loop 2 pairs Load+AluImm and
-    /// AluImm+Alu, loop 3 pairs Alu+Bnz, and the epilogue takes a fused
-    /// AluImm+Bz over a poison op it must skip, then issues an adjacent
-    /// Load+Load pair before the stores.
-    fn fused_shapes_text() -> Vec<Op> {
+    /// Three loops and an epilogue mixing loads, stores, both ALU forms
+    /// and both branch senses: loop 1 streams 16 lines, loop 2 counts
+    /// down with a `Bz` back-edge, loop 3 runs a two-op block, and the
+    /// epilogue's taken `Bz` must skip a poison op.
+    fn mixed_blocks_text() -> Vec<Op> {
         vec![
             // 0:
             Op::Movi {
@@ -2813,7 +2181,7 @@ mod tests {
                 cond: PReg(6),
                 target: 15,
             },
-            // 17: fused compare+Bz skips the poison op.
+            // 17: compare + taken Bz skips the poison op.
             Op::AluImm {
                 op: BinOp::Lt,
                 dst: PReg(2),
@@ -2824,12 +2192,12 @@ mod tests {
                 cond: PReg(2),
                 target: 20,
             },
-            // 19: poison; executing it means a fused branch went wrong.
+            // 19: poison; executing it means a branch went wrong.
             Op::Movi {
                 dst: PReg(5),
                 imm: -777,
             },
-            // 20: epilogue; the adjacent loads fuse into a LoadLoad.
+            // 20: epilogue.
             Op::Load {
                 dst: PReg(1),
                 base: PReg(7),
@@ -2906,10 +2274,10 @@ mod tests {
 
     #[test]
     fn decoded_and_fallback_are_bit_identical_across_quanta() {
-        let text = fused_shapes_text();
+        let text = mixed_blocks_text();
         // Quantum 1 forces a boundary before every instruction, so every
-        // fused pair gets split mid-pair at least once; 7 lands the
-        // boundary at rotating offsets; the large quantum never splits.
+        // block gets split after each of its ops at least once; 7 lands
+        // the boundary at rotating offsets; the large quantum never splits.
         for quantum in [1u64, 7, 1_000_000] {
             let decoded = run_quantized(&text, quantum, false);
             let fallback = run_quantized(&text, quantum, true);
@@ -2925,8 +2293,8 @@ mod tests {
     }
 
     #[test]
-    fn decode_stats_track_hits_misses_and_fusion() {
-        let text = fused_shapes_text();
+    fn decode_stats_track_hits_and_misses() {
+        let text = mixed_blocks_text();
         let (mut mem, mut data, mut counters, mut blocks) = env_parts();
         data.resize(8192, 0);
         let mut ctx = ExecContext::new(0, 1, 0);
@@ -2944,16 +2312,13 @@ mod tests {
         assert_eq!(res.stop, StopReason::Halted);
         let stats = blocks.stats();
         // Eight distinct blocks are entered (0, 2, 7, 8, 13, 15, 17, 20);
-        // the poison block at 19 is never decoded. Superops: two each in
-        // the blocks at 0/2/7/8 (LoadAlu + AluImmAluImm, LoadAluImm +
-        // AluImmAlu), one each at 13/15/17, and the LoadLoad at 20.
+        // the poison block at 19 is never decoded.
         assert_eq!(stats.misses, 8);
-        assert_eq!(stats.fused_ops, 12);
         assert_eq!(stats.invalidations, 0);
         // Every loop back-edge re-dispatch is a hit.
         assert!(stats.hits > stats.misses);
 
-        // The fallback path never caches and never fuses.
+        // The fallback path never caches.
         let (mut mem, mut data, mut counters, mut blocks) = env_parts();
         data.resize(8192, 0);
         blocks.set_fallback(true);
@@ -2972,7 +2337,6 @@ mod tests {
         assert_eq!(res.stop, StopReason::Halted);
         let stats = blocks.stats();
         assert_eq!(stats.hits, 0);
-        assert_eq!(stats.fused_ops, 0);
         assert!(stats.misses > 8, "every dispatch should decode fresh");
     }
 
@@ -3091,11 +2455,11 @@ mod tests {
     }
 
     #[test]
-    fn osr_park_inside_fused_pair_is_bit_exact() {
-        // counted_loop_text's header block fuses its AluImm compare (pc 3)
-        // with the Bnz (pc 4). Parking at pc 4 cuts through the middle of
-        // that superop; the clamped dispatch must stop exactly there with
-        // the same state the unfused fallback produces.
+    fn osr_park_mid_block_is_bit_exact() {
+        // counted_loop_text's cached block entered at pc 1 runs through
+        // the Bnz at pc 4. Parking at pc 4 cuts that block after its
+        // compare; the sliced dispatch must stop exactly there with the
+        // same state the fallback produces.
         let text = counted_loop_text();
         let run_mode = |fallback: bool| {
             let (mut mem, mut data, mut counters, mut blocks) = env_parts();
@@ -3130,11 +2494,36 @@ mod tests {
     }
 
     #[test]
-    fn budget_boundary_lands_on_second_constituent_of_fused_pair() {
-        // Block of [AluImm Lt, Bnz, Halt]: the pair fuses, yet a budget
-        // of exactly one ALU cost must stop *between* the constituents
-        // with the PC on the Bnz — quantum boundaries are per
-        // instruction, never per superop.
+    fn osr_park_slices_the_cached_block_instead_of_redecoding() {
+        // Parking at pc 4 cuts both blocks that run through it (entered
+        // at 0 and at 1). The cut reuses the cached block, so each
+        // distinct entry (0, 4, 1) decodes exactly once.
+        let text = counted_loop_text();
+        let (mut mem, mut data, mut counters, mut blocks) = env_parts();
+        let mut ctx = ExecContext::new(0, 1, 0);
+        ctx.osr_arm(4, 2);
+        let mut env = ExecEnv {
+            text: &text,
+            text_gen: 0,
+            blocks: &mut blocks,
+            data: &mut data,
+            mem: &mut mem,
+            core: 0,
+            counters: &mut counters,
+            costs: CostModel::default(),
+        };
+        let res = run(&mut ctx, &mut env, 1_000_000);
+        assert_eq!(res.stop, StopReason::OsrParked);
+        assert_eq!(ctx.pc(), 4);
+        assert_eq!(blocks.stats().misses, 3);
+        assert_eq!(blocks.stats().hits, 0);
+    }
+
+    #[test]
+    fn budget_boundary_splits_a_block_per_instruction() {
+        // Block of [AluImm Lt, Bnz]: a budget of exactly one ALU cost
+        // must stop *inside* the block with the PC on the Bnz — quantum
+        // boundaries are per instruction, never per block.
         let text = vec![
             Op::AluImm {
                 op: BinOp::Lt,
@@ -3166,7 +2555,7 @@ mod tests {
             let res = run(&mut ctx, &mut env, costs.alu);
             assert_eq!(res.stop, StopReason::BudgetExhausted, "fallback {fallback}");
             assert_eq!(res.cycles, costs.alu);
-            assert_eq!(ctx.pc(), 1, "PC must sit on the fused pair's branch");
+            assert_eq!(ctx.pc(), 1, "PC must sit on the block's branch");
             assert_eq!(env.counters.instructions, 1);
             let res2 = run(&mut ctx, &mut env, 1_000_000);
             assert_eq!(res2.stop, StopReason::Halted);

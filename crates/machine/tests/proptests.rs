@@ -114,7 +114,7 @@ proptest! {
     fn cache_occupancy_never_exceeds_capacity(
         ops in vec((any::<u64>(), arb_insert()), 0..2000),
     ) {
-        let mut c = Cache::new(CacheConfig { sets: 16, ways: 4, hit_latency: 0 });
+        let mut c = Cache::new(CacheConfig { sets: 16, ways: 4 });
         for (line, pos) in ops {
             if !c.lookup(line) {
                 c.fill(line, pos);
@@ -125,7 +125,7 @@ proptest! {
 
     #[test]
     fn filled_line_is_immediately_present(lines in vec(any::<u64>(), 1..200)) {
-        let mut c = Cache::new(CacheConfig { sets: 8, ways: 2, hit_latency: 0 });
+        let mut c = Cache::new(CacheConfig { sets: 8, ways: 2 });
         for line in lines {
             c.fill(line, InsertPos::Mru);
             prop_assert!(c.probe(line), "line {line} missing right after fill");
@@ -134,7 +134,7 @@ proptest! {
 
     #[test]
     fn eviction_only_removes_one_line(lines in vec(any::<u64>(), 1..500)) {
-        let mut c = Cache::new(CacheConfig { sets: 8, ways: 2, hit_latency: 0 });
+        let mut c = Cache::new(CacheConfig { sets: 8, ways: 2 });
         let mut prev = 0usize;
         for line in lines {
             let evicted = c.fill(line, InsertPos::Mru);
@@ -150,7 +150,7 @@ proptest! {
 
     #[test]
     fn hit_plus_miss_equals_lookups(lines in vec(0u64..64, 1..500)) {
-        let mut c = Cache::new(CacheConfig { sets: 4, ways: 2, hit_latency: 0 });
+        let mut c = Cache::new(CacheConfig { sets: 4, ways: 2 });
         for (i, line) in lines.into_iter().enumerate() {
             if !c.lookup(line) {
                 c.fill(line, InsertPos::Mru);
@@ -169,7 +169,7 @@ proptest! {
         // every line, on every geometry (including non-multiple-of-8
         // ways with padding lanes and >8-way multi-word sets).
         for (sets, ways) in [(4usize, 3usize), (16, 4), (2, 12)] {
-            let mut c = Cache::new(CacheConfig { sets, ways, hit_latency: 0 });
+            let mut c = Cache::new(CacheConfig { sets, ways });
             for &(line, pos, inv) in &ops {
                 let present = c.probe(line);
                 prop_assert_eq!(c.lookup(line), present, "line {} in {}x{}", line, sets, ways);
@@ -195,7 +195,7 @@ proptest! {
         // partial-tag collisions are common.
         for sets in [1usize, 2, 4, 8] {
             for ways in [1usize, 2, 3, 4, 5, 8, 9, 12, 16, 17, 24] {
-                let mut c = Cache::new(CacheConfig { sets, ways, hit_latency: 0 });
+                let mut c = Cache::new(CacheConfig { sets, ways });
                 let mut r = StampCache::new(sets, ways);
                 let span = 3 * (sets * ways) as u64 + 1;
                 let line_of = |raw: u16, high: bool| (u64::from(raw) % span) | (u64::from(high) << 16);
@@ -310,11 +310,11 @@ proptest! {
         raw in vec((0u8..16, any::<u8>(), any::<u8>(), any::<u8>(), -64i64..64), 1..80),
         quantum in prop_oneof![Just(1u64), Just(13), Just(100_000)],
     ) {
-        // Differential property: the cached+fused decoded tier and the
+        // Differential property: the cached decoded tier and the
         // always-decode fallback must be bit-identical on arbitrary
         // (often invalid) programs — same stop reasons, cycle counts,
         // counters, final PC/status, and data image — at any quantum
-        // size, including one-cycle quanta that split every fused pair.
+        // size, including one-cycle quanta that split every block.
         let text: Vec<Op> = raw
             .iter()
             .map(|(kind, a, b, c, imm)| {

@@ -6,7 +6,7 @@ use pcc::NtAssignment;
 use pir::FuncId;
 use protean::{
     nap, EventKind, ExtMonitor, FaultPlan, HealthConfig, HealthMonitor, HealthState, HostMonitor,
-    MonitorReport, OsrConfig, OsrController, PhaseChange, PhaseDetector, Runtime, Subsystem,
+    MonitorReport, PhaseChange, PhaseDetector, Runtime, Subsystem,
 };
 use simos::{Os, Pid};
 
@@ -43,12 +43,6 @@ pub struct Pc3dConfig {
     /// heavy napping; doubles (up to 8x) while re-searches fail to
     /// improve, so hopeless hosts don't churn.
     pub research_interval_secs: f64,
-    /// Enables the live-OSR engine: when a dispatched variant's function
-    /// is stuck mid-loop (call-edge dispatch structurally blind), the
-    /// controller parks the thread at a certified loop header and
-    /// transfers it into the variant. **Off by default** — with OSR
-    /// disabled every run is bit-identical to a build without the engine.
-    pub osr: bool,
 }
 
 impl Default for Pc3dConfig {
@@ -64,7 +58,6 @@ impl Default for Pc3dConfig {
             warmup_secs: 2.0,
             cooldown_secs: 4.0,
             research_interval_secs: 30.0,
-            osr: false,
         }
     }
 }
@@ -160,10 +153,6 @@ pub struct Pc3d {
     /// its degradation ladder overrides the controller's policy
     /// (`Degraded`/`Detached` → nap-only, no new variants).
     health: HealthMonitor,
-    /// Live-OSR engine (active only with [`Pc3dConfig::osr`]): parks a
-    /// thread stuck mid-loop and transfers it into the dispatched
-    /// variant, with probation + deopt back to baseline.
-    osr: OsrController,
 }
 
 impl Pc3d {
@@ -222,10 +211,6 @@ impl Pc3d {
             last_window_end: os.now(),
             history: Vec::new(),
             health: HealthMonitor::new(health),
-            osr: OsrController::new(OsrConfig {
-                enabled: config.osr,
-                ..OsrConfig::default()
-            }),
         };
         ctl.flux(os);
         ctl.next_flux = os.now_seconds() + nap::FLUX_PERIOD_SECS;
@@ -251,12 +236,6 @@ impl Pc3d {
     /// The self-healing layer (degradation state, healing counters).
     pub fn health(&self) -> &HealthMonitor {
         &self.health
-    }
-
-    /// The live-OSR engine (phase, goal; counters live in the merged
-    /// metrics snapshot under `osr.*`).
-    pub fn osr(&self) -> &OsrController {
-        &self.osr
     }
 
     /// Arms a fault-injection plan on the runtime and the OS observation
@@ -424,16 +403,6 @@ impl Pc3d {
             let pc = self.host_mon.sample(os, &self.rt);
             self.rt.note_pc_sample(os.now(), pc);
             os.charge_runtime(self.rt.config().core, sample_cost.max(1));
-            if self.config.osr {
-                // The same sample stream drives the live-OSR engine: a
-                // thread pinned in a certified loop of a function whose
-                // variant is already dispatched (but never re-entered)
-                // gets transferred mid-loop instead of waiting for a call
-                // edge that may never come.
-                self.osr
-                    .note_pc_sample(os, &mut self.rt, &mut self.health, pc);
-                self.osr.tick(os, &mut self.rt, &mut self.health);
-            }
         }
         let ext = self.ext_mon.end_window(os);
         let host = self.host_perf_mon.end_window(os);
@@ -507,31 +476,6 @@ impl Pc3d {
             }
         }
         self.applied = nt.clone();
-        self.refresh_osr_goal(os);
-    }
-
-    /// Points the live-OSR engine at the variant now installed in the
-    /// EVT (if any): should PC samples later show the host stuck inside
-    /// that function's baseline body, the engine transfers it mid-loop.
-    fn refresh_osr_goal(&mut self, os: &Os) {
-        if !self.config.osr {
-            return;
-        }
-        self.osr.clear_goal();
-        for func in &self.candidate_funcs {
-            let Some(addr) = self.rt.current_target(os, *func) else {
-                continue;
-            };
-            let installed = self
-                .rt
-                .variants()
-                .iter()
-                .position(|v| v.func == *func && v.len > 0 && v.addr == addr);
-            if let Some(idx) = installed {
-                self.osr.set_goal(*func, idx);
-                return;
-            }
-        }
     }
 
     fn set_nap(&mut self, os: &mut Os, nap: f64) {

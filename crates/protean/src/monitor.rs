@@ -183,9 +183,6 @@ impl HostMonitor {
         metrics
             .counters
             .insert("machine.decoded_invalidations".to_string(), d.invalidations);
-        metrics
-            .counters
-            .insert("machine.decoded_fused_ops".to_string(), d.fused_ops);
         MonitorReport {
             window: self.peek(os),
             metrics,
@@ -547,11 +544,9 @@ mod tests {
         os.advance(50_000);
         let report = mon.report(&os, &rt);
         let c = |name: &str| report.metrics.counters.get(name).copied().unwrap_or(0);
-        // The loop-heavy host program replays decoded blocks constantly
-        // and forms at least one fused superop.
+        // The loop-heavy host program replays decoded blocks constantly.
         assert!(c("machine.decoded_hits") > c("machine.decoded_misses"));
         assert!(c("machine.decoded_misses") > 0);
-        assert!(c("machine.decoded_fused_ops") > 0);
         let stats = os.decode_stats(pid);
         assert_eq!(c("machine.decoded_hits"), stats.hits);
         assert_eq!(c("machine.decoded_invalidations"), stats.invalidations);

@@ -37,13 +37,13 @@
 //! drive the abandon, refusal, and deopt paths respectively (see
 //! `tests/chaos.rs`).
 //!
-//! The interpreter's pre-decoded superblock tier is transparent to OSR:
-//! a park lands mid-block by clamping the decoded replay at the armed
-//! PC (the block is re-decoded to the cut point, never executed past
-//! it), and resume at the variant header re-enters through the ordinary
-//! block lookup, so a park/transfer/resume round-trip is bit-identical
-//! whether the decoded tier or the from-scratch fallback decoder is
-//! active (`tests/osr_live.rs` pins this).
+//! The interpreter's pre-decoded block tier is transparent to OSR: a park
+//! lands mid-block by cutting the decoded replay at the armed PC (the
+//! block is sliced at the cut point, never executed past it), and resume
+//! at the variant header re-enters through the ordinary block lookup, so
+//! a park/transfer/resume round-trip is bit-identical whether the decoded
+//! tier or the from-scratch fallback decoder is active
+//! (`tests/osr_live.rs` pins this).
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -64,9 +64,6 @@ use crate::trace::{EventKind, Subsystem};
 /// Knobs of the live-OSR controller.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct OsrConfig {
-    /// Master switch. Disabled controllers never arm, so execution is
-    /// bit-identical to a build without the OSR engine.
-    pub enabled: bool,
     /// Maximum cycles an armed park request may wait before it is
     /// abandoned and call-edge switching takes over.
     pub arm_window_cycles: u64,
@@ -85,7 +82,6 @@ pub struct OsrConfig {
 impl Default for OsrConfig {
     fn default() -> Self {
         OsrConfig {
-            enabled: true,
             arm_window_cycles: 200_000,
             probation_cycles: 200_000,
             stuck_samples: 3,
@@ -98,8 +94,6 @@ impl Default for OsrConfig {
 /// these — the controller never leaves a frame partially transferred.
 #[derive(Clone, Debug, PartialEq)]
 pub enum OsrError {
-    /// The controller is disabled by configuration.
-    Disabled,
     /// The health ladder is below `Healthy`; no OSR is attempted.
     HealthVeto {
         /// The function whose transfer was vetoed.
@@ -175,7 +169,6 @@ pub enum OsrError {
 impl fmt::Display for OsrError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            OsrError::Disabled => write!(f, "live OSR is disabled by configuration"),
             OsrError::HealthVeto { func } => {
                 write!(
                     f,
@@ -350,12 +343,6 @@ impl OsrController {
         self.stuck = 0;
     }
 
-    /// Clears the promotion goal. An in-flight transfer is unaffected.
-    pub fn clear_goal(&mut self) {
-        self.goal = None;
-        self.stuck = 0;
-    }
-
     /// Feeds one PC sample. Consecutive samples inside the goal
     /// function's *baseline* body advance the stuck counter; at
     /// [`stuck_samples`](OsrConfig::stuck_samples) the controller arms.
@@ -367,7 +354,7 @@ impl OsrController {
         health: &mut HealthMonitor,
         pc: u32,
     ) -> Option<OsrError> {
-        if !self.config.enabled || !matches!(self.phase, Phase::Idle) {
+        if !matches!(self.phase, Phase::Idle) {
             return None;
         }
         let (func, variant) = self.goal?;
@@ -401,8 +388,8 @@ impl OsrController {
     ///
     /// # Errors
     ///
-    /// [`OsrError::Disabled`] / [`OsrError::Busy`] /
-    /// [`OsrError::HealthVeto`] / [`OsrError::NoProvedRecipe`] /
+    /// [`OsrError::Busy`] / [`OsrError::HealthVeto`] /
+    /// [`OsrError::NoProvedRecipe`] /
     /// [`OsrError::AllHeadersQuarantined`] when no arm is possible; no
     /// machine state is touched on any error.
     pub fn arm(
@@ -413,9 +400,6 @@ impl OsrController {
         func: FuncId,
         variant: usize,
     ) -> Result<(), OsrError> {
-        if !self.config.enabled {
-            return Err(OsrError::Disabled);
-        }
         if !matches!(self.phase, Phase::Idle) {
             return Err(OsrError::Busy {
                 phase: self.phase_name(),

@@ -452,8 +452,8 @@ impl Os {
     }
 
     /// Forces (or releases) the interpreter's always-decode fallback for
-    /// one process: every dispatch re-decodes its block, uncached and
-    /// unfused. Simulated results are bit-identical in either mode —
+    /// one process: every dispatch re-decodes its block, uncached.
+    /// Simulated results are bit-identical in either mode —
     /// this is the differential-testing reference path, not a semantic
     /// switch.
     pub fn set_decode_fallback(&mut self, pid: Pid, on: bool) {

@@ -128,8 +128,8 @@ impl Process {
     }
 
     /// Decoded-block cache effectiveness counters (the
-    /// `machine.decoded_*` group): dispatch hits/misses, wholesale
-    /// invalidations, and superops formed.
+    /// `machine.decoded_*` group): dispatch hits/misses and wholesale
+    /// invalidations.
     pub fn decode_stats(&self) -> DecodeStats {
         self.blocks.stats()
     }

@@ -695,23 +695,21 @@ fn runtime_errors_compose_as_std_errors() {
     );
 
     // An OSR refusal propagates the same way.
-    fn arm_while_disabled() -> Result<(), Box<dyn std::error::Error>> {
+    fn arm_while_detached() -> Result<(), Box<dyn std::error::Error>> {
         let out = Compiler::new(Options::protean()).compile(&streaming_host())?;
         let mut os = Os::new(OsConfig::small());
         let pid = os.spawn(&out.image, 0);
         let mut rt = Runtime::attach(&os, pid, RuntimeConfig::on_core(1))?;
         let work = rt.module().function_by_name("work").unwrap();
         let mut health = HealthMonitor::new(HealthConfig::default());
-        let mut ctl = OsrController::new(OsrConfig {
-            enabled: false,
-            ..OsrConfig::default()
-        });
+        health.force_detach(&mut os, &mut rt);
+        let mut ctl = OsrController::new(OsrConfig::default());
         ctl.arm(&mut os, &mut rt, &mut health, work, 0)?;
         Ok(())
     }
-    let err = arm_while_disabled().expect_err("disabled controllers refuse to arm");
+    let err = arm_while_detached().expect_err("a detached runtime refuses to arm");
     assert!(
-        err.to_string().contains("disabled"),
+        err.to_string().contains("health ladder below healthy"),
         "OSR error must explain itself: {err}"
     );
 }

@@ -1,8 +1,7 @@
 //! Live OSR engine, end to end on real images: park / transfer / resume
 //! with the `pir` interpreter as the semantic oracle, bit-identity when
-//! the engine is disabled or every window expires, and the
-//! first-exec-lag advantage over call-edge-only dispatch on the
-//! single-long-loop workload.
+//! the arming window expires, and the first-exec-lag advantage over
+//! call-edge-only dispatch on the single-long-loop workload.
 
 use pcc::{Compiler, NtAssignment, Options};
 use pir::interp::{run_with_transfer, OsrTransferSpec};
@@ -110,7 +109,6 @@ fn applied_transfer_matches_interpreter_oracle() {
         stuck_samples: 1,
         arm_window_cycles: 50_000_000,
         probation_cycles: 1_000,
-        enabled: true,
     });
 
     let nt = nt_for(rt.module(), spin);
@@ -193,8 +191,8 @@ fn applied_transfer_matches_interpreter_oracle() {
 
 // ---------------------------------------------------------------------
 // Decode-mode bit-identity: the park/transfer/resume round-trip must
-// not care whether the pre-decoded superblock tier or the from-scratch
-// fallback decoder is executing (a park lands mid-block by clamping the
+// not care whether the pre-decoded block tier or the from-scratch
+// fallback decoder is executing (a park lands mid-block by cutting the
 // decoded replay at the armed PC; resume re-enters via block lookup).
 // ---------------------------------------------------------------------
 
@@ -211,7 +209,6 @@ fn osr_round_trip(fallback: bool) -> (u64, u64, u64, u32) {
         stuck_samples: 1,
         arm_window_cycles: 50_000_000,
         probation_cycles: 1_000,
-        enabled: true,
     });
     let nt = nt_for(rt.module(), spin);
     let idx = rt.compile_variant(&mut os, spin, &nt).unwrap();
@@ -240,14 +237,13 @@ fn osr_round_trip_is_bit_identical_across_decode_modes() {
 }
 
 // ---------------------------------------------------------------------
-// Bit-identity: disabled engine (and expired windows) are invisible
+// Bit-identity: an expired arming window is invisible
 // ---------------------------------------------------------------------
 
-/// Runs the long-loop workload for a fixed schedule under one of three
+/// Runs the long-loop workload for a fixed schedule under one of two
 /// regimes and returns (instructions, pc, cursor word, llc misses).
 enum Regime {
     NoController,
-    Disabled,
     ArmedButExpires,
 }
 
@@ -263,10 +259,6 @@ fn long_loop_fingerprint(regime: &Regime) -> (u64, u32, u64, u64) {
 
     let mut ctl = match regime {
         Regime::NoController => None,
-        Regime::Disabled => Some(OsrController::new(OsrConfig {
-            enabled: false,
-            ..OsrConfig::default()
-        })),
         // Armed for real — but the park target is unreachable (u64::MAX
         // header entries) and the window is zero, so the very next tick
         // abandons. The machine briefly runs with an armed park gate;
@@ -280,10 +272,8 @@ fn long_loop_fingerprint(regime: &Regime) -> (u64, u32, u64, u64) {
     };
     if let Some(c) = &mut ctl {
         c.set_goal(spin, idx);
-        if matches!(regime, Regime::ArmedButExpires) {
-            c.arm(&mut os, &mut rt, &mut health, spin, idx)
-                .expect("arming must succeed");
-        }
+        c.arm(&mut os, &mut rt, &mut health, spin, idx)
+            .expect("arming must succeed");
     }
     for _ in 0..200 {
         os.advance(2_000);
@@ -294,18 +284,10 @@ fn long_loop_fingerprint(regime: &Regime) -> (u64, u32, u64, u64) {
         }
     }
     if let Some(c) = &ctl {
-        match regime {
-            Regime::Disabled => {
-                assert_eq!(rt.metrics().counter("osr.armed"), 0);
-            }
-            Regime::ArmedButExpires => {
-                assert_eq!(rt.metrics().counter("osr.armed"), 1);
-                assert_eq!(rt.metrics().counter("osr.abandoned"), 1);
-                assert_eq!(rt.metrics().counter("osr.applied"), 0);
-                assert_eq!(c.phase_name(), "idle");
-            }
-            Regime::NoController => {}
-        }
+        assert_eq!(rt.metrics().counter("osr.armed"), 1);
+        assert_eq!(rt.metrics().counter("osr.abandoned"), 1);
+        assert_eq!(rt.metrics().counter("osr.applied"), 0);
+        assert_eq!(c.phase_name(), "idle");
     }
     let cursor_addr = rt.link().global_addrs[1];
     let c = os.proc(pid).counters();
@@ -318,13 +300,8 @@ fn long_loop_fingerprint(regime: &Regime) -> (u64, u32, u64, u64) {
 }
 
 #[test]
-fn disabled_or_expired_osr_is_bit_identical_to_no_osr() {
+fn expired_osr_window_is_bit_identical_to_no_osr() {
     let baseline = long_loop_fingerprint(&Regime::NoController);
-    assert_eq!(
-        long_loop_fingerprint(&Regime::Disabled),
-        baseline,
-        "a disabled OSR controller must be invisible to execution"
-    );
     assert_eq!(
         long_loop_fingerprint(&Regime::ArmedButExpires),
         baseline,
