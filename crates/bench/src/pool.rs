@@ -11,10 +11,12 @@
 //! exactly once, on exactly one thread.
 //!
 //! The worker count comes from `PROTEAN_JOBS` when set, else from the
-//! host's available parallelism. With one worker (or one item) the pool
-//! degrades to a plain serial loop on the calling thread — no threads are
-//! spawned, so single-core CI behaves exactly like the pre-pool harnesses.
+//! host's available parallelism. The calling thread is always one of the
+//! workers: `N` workers are the caller plus `N − 1` scoped threads, so a
+//! map's first item starts at once. With one worker (or one item) the
+//! pool is a plain serial loop on the calling thread and spawns nothing.
 
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -38,7 +40,8 @@ where
     map_with(jobs(), items, f)
 }
 
-/// Maps `f` over `items` on up to `workers` threads.
+/// Maps `f` over `items` on up to `workers` threads: the calling thread
+/// and `workers − 1` scoped threads, all running one claim loop.
 ///
 /// Work items are claimed dynamically (an atomic cursor, so long items
 /// don't leave workers idle) but results land in a slot per input index,
@@ -48,9 +51,12 @@ where
 ///
 /// # Panics
 ///
-/// Panics if any invocation of `f` panics (the scope joins all workers
-/// first), so a failing work item fails the whole map loudly rather than
-/// producing a partial result.
+/// Panics if any invocation of `f` panics, so a failing work item fails
+/// the whole map loudly rather than producing a partial result. Each
+/// item's panic is caught where it runs and the workers keep claiming;
+/// once every thread has joined, the panic of the lowest-index failing
+/// item is resumed. That is the panic a serial run raises, whichever
+/// thread ran the item.
 pub fn map_with<T, R, F>(workers: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -62,25 +68,33 @@ where
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
     let cursor = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<std::thread::Result<R>>>> =
+        items.iter().map(|_| Mutex::new(None)).collect();
+    let work = || loop {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        let Some(item) = items.get(i) else {
+            break;
+        };
+        let r = panic::catch_unwind(AssertUnwindSafe(|| f(i, item)));
+        *slots[i].lock().expect("result slot") = Some(r);
+    };
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(i) else {
-                    break;
-                };
-                let r = f(i, item);
-                *slots[i].lock().expect("result slot") = Some(r);
-            });
+        for _ in 1..workers {
+            scope.spawn(work);
         }
+        work();
     });
     slots
         .into_iter()
         .map(|m| {
-            m.into_inner()
+            match m
+                .into_inner()
                 .expect("result slot")
                 .expect("every item completed")
+            {
+                Ok(r) => r,
+                Err(payload) => panic::resume_unwind(payload),
+            }
         })
         .collect()
 }
@@ -131,7 +145,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "scoped thread panicked")]
+    fn calling_thread_is_a_worker() {
+        // Both items wait for each other, so they run on two threads at
+        // once; one of them is the caller.
+        let barrier = std::sync::Barrier::new(2);
+        let ids = map_with(2, &[0u8, 1], |_, _| {
+            barrier.wait();
+            std::thread::current().id()
+        });
+        assert!(ids.contains(&std::thread::current().id()), "{ids:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "work item failed")]
     fn worker_panics_propagate() {
         let items = [1, 2, 3];
         let _ = map_with(2, &items, |_, &x| {
@@ -140,5 +166,20 @@ mod tests {
             }
             x
         });
+    }
+
+    #[test]
+    fn lowest_failing_index_panics_at_any_worker_count() {
+        let items: Vec<usize> = (0..8).collect();
+        for workers in [1, 4] {
+            let payload = panic::catch_unwind(|| {
+                map_with(workers, &items, |i, _| -> usize {
+                    panic!("item {i} failed")
+                })
+            })
+            .expect_err("every item panics");
+            let msg = payload.downcast_ref::<String>().expect("formatted message");
+            assert_eq!(msg, "item 0 failed", "workers = {workers}");
+        }
     }
 }

@@ -513,10 +513,9 @@ impl Cluster {
 
     /// Starts a batch stream/job on server `si`.
     fn start_batch_on(&mut self, si: usize, now: Cycles, app: &str, quota: Option<u64>) {
-        let ls_image = self.images[self.cfg.groups[self.server(si).group()].ls_app].clone();
-        let batch_image = self.images[app].clone();
-        self.server_mut(si)
-            .start_batch(now, &ls_image, &batch_image, app, quota);
+        let server = self.servers[si].as_mut().expect("server checked in");
+        let ls_image = &self.images[self.cfg.groups[server.group()].ls_app];
+        server.start_batch(now, ls_image, &self.images[app], app, quota);
     }
 
     /// Re-plans one group at a shape boundary: picks the active-set size
@@ -539,16 +538,17 @@ impl Cluster {
             total
         };
         let share = if n > 0 { qps / n as f64 } else { 0.0 };
-        let ls_image = self.images[g.ls_app].clone();
+        let ls_image = &self.images[g.ls_app];
         let wanted = start..start + n;
         for si in start..end {
             let want = wanted.contains(&si);
             self.desired_active[si] = want;
+            let server = self.servers[si].as_mut().expect("server checked in");
             if want {
-                self.server_mut(si).ensure_box(now, &ls_image);
+                server.ensure_box(now, ls_image);
             } else {
                 // Stop feeding it; it parks once drained (and batch-free).
-                self.server_mut(si).set_ls_qps(0.0);
+                server.set_ls_qps(0.0);
             }
         }
         let behind: Vec<usize> = wanted

@@ -258,16 +258,6 @@ impl Runtime {
             Subsystem::Gate,
             EventKind::OsrPoints { certified },
         );
-        // Seed the analysis-cache gauges so a report taken before any
-        // vet still carries the `absint.*`/`effects.*` keys.
-        let ab = pir::absint::cache_stats();
-        let fx = pir::effects::cache_stats();
-        rt.metrics.set_gauge("absint.cache_hits", ab.hits as f64);
-        rt.metrics
-            .set_gauge("absint.cache_misses", ab.misses as f64);
-        rt.metrics.set_gauge("effects.cache_hits", fx.hits as f64);
-        rt.metrics
-            .set_gauge("effects.cache_misses", fx.misses as f64);
         Ok(rt)
     }
 
@@ -672,11 +662,12 @@ impl Runtime {
     }
 
     /// Runs the static safety gate on a candidate body for `func`,
-    /// accounting for the abstract-interpretation work it triggers:
-    /// interval-based disjointness facts discharged and absint/effects
-    /// fixpoint-cache traffic are measured as deltas around the vet and
-    /// surfaced as `gate.absint_*`/`gate.effects_*` metrics plus one
-    /// [`EventKind::AbsintConsult`] event.
+    /// accounting for the abstract-interpretation work it triggers: the
+    /// interval-based disjointness facts discharged are measured as a
+    /// delta around the vet and surfaced as `gate.absint_disjoint_facts`
+    /// plus one [`EventKind::AbsintConsult`] event. The absint/effects
+    /// fixpoint-cache traffic is left out: the caches are process-wide,
+    /// so it depends on what the process vetted before.
     ///
     /// A body the gate admits is additionally vetted for *mid-loop*
     /// switchability: every certified OSR header of the function is run
@@ -686,8 +677,6 @@ impl Runtime {
     /// one [`EventKind::OsrTransfer`] event.
     fn vet(&mut self, now: u64, func: FuncId, variant: u64, ir: &Function) -> VariantVerdict {
         let facts0 = pir::interval_disjoint_facts();
-        let ab0 = pir::absint::cache_stats();
-        let fx0 = pir::effects::cache_stats();
         let verdict = crate::safety::vet_variant(&self.meta.module, func, ir);
         if verdict.is_safe() && self.meta.osr.iter().any(|c| c.func == func) {
             let summary = crate::safety::vet_osr_transfers(
@@ -716,27 +705,7 @@ impl Runtime {
             );
         }
         let facts = pir::interval_disjoint_facts() - facts0;
-        let ab1 = pir::absint::cache_stats();
-        let fx1 = pir::effects::cache_stats();
         self.metrics.add("gate.absint_disjoint_facts", facts);
-        self.metrics
-            .add("gate.absint_cache_hits", ab1.hits - ab0.hits);
-        self.metrics
-            .add("gate.absint_cache_misses", ab1.misses - ab0.misses);
-        self.metrics
-            .add("gate.effects_cache_hits", fx1.hits - fx0.hits);
-        self.metrics
-            .add("gate.effects_cache_misses", fx1.misses - fx0.misses);
-        // Absolute thread-local cache totals, mirrored as gauges so a
-        // MonitorReport snapshot shows the analysis caches' lifetime
-        // traffic, not just this runtime's deltas.
-        self.metrics.set_gauge("absint.cache_hits", ab1.hits as f64);
-        self.metrics
-            .set_gauge("absint.cache_misses", ab1.misses as f64);
-        self.metrics
-            .set_gauge("effects.cache_hits", fx1.hits as f64);
-        self.metrics
-            .set_gauge("effects.cache_misses", fx1.misses as f64);
         self.tracer.emit(
             now,
             Subsystem::Gate,
@@ -744,7 +713,6 @@ impl Runtime {
                 func: u64::from(func.0),
                 variant,
                 disjoint_facts: facts,
-                cache_hit: ab1.hits > ab0.hits,
             },
         );
         verdict
@@ -1281,18 +1249,20 @@ mod tests {
         // The tracer is off by default outside PROTEAN_TRACE_DIR runs;
         // record the vet path explicitly.
         rt.tracer_mut().set_enabled(true);
-        // Vetting a variant consults the abstract interpreter: the
-        // effects/absint fixpoints are cache-counted and an
-        // absint-consult event carries the per-vet fact delta.
+        // Vetting a variant consults the abstract interpreter: it looks
+        // up the effects fixpoint cache and an absint-consult event
+        // carries the per-vet fact delta.
         let worker = rt.module().function_by_name("worker").unwrap();
         // A nop-padded body fails the syntactic tier, forcing the
         // symbolic equivalence proof (which consults absint/effects).
         let mut padded = rt.module().function(worker).clone();
         padded.blocks_mut()[0].insts.insert(0, pir::Inst::Nop);
+        // The vet runs at install; dispatch reuses its verdict.
+        let fx0 = pir::effects::cache_stats();
         let good = rt.install_variant_ir(&mut os, worker, padded).unwrap();
         rt.dispatch(&mut os, good).unwrap();
-        let consults = rt.metrics().counter("gate.effects_cache_hits")
-            + rt.metrics().counter("gate.effects_cache_misses");
+        let fx1 = pir::effects::cache_stats();
+        let consults = fx1.hits + fx1.misses - fx0.hits - fx0.misses;
         assert!(consults > 0, "vet should touch the effects cache");
         let jsonl = rt.trace_jsonl(&os);
         assert!(jsonl.contains("absint-consult"), "{jsonl}");
@@ -1328,11 +1298,6 @@ mod tests {
         let proved = rt.metrics().counter("gate.osr_transfer_proved");
         assert!(proved > 0, "transfer into the locality variant proves");
         assert_eq!(rt.metrics().counter("gate.osr_transfer_refuted"), 0);
-        // The analysis caches are mirrored as absolute gauges.
-        assert!(rt.metrics().gauge("absint.cache_hits").is_some());
-        assert!(rt.metrics().gauge("absint.cache_misses").is_some());
-        assert!(rt.metrics().gauge("effects.cache_hits").is_some());
-        assert!(rt.metrics().gauge("effects.cache_misses").is_some());
         let jsonl = rt.trace_jsonl(&os);
         assert!(jsonl.contains("osr-transfer"), "{jsonl}");
     }

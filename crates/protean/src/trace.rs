@@ -265,8 +265,6 @@ pub enum EventKind {
         variant: u64,
         /// Interval-based disjointness facts discharged during this vet.
         disjoint_facts: u64,
-        /// Whether the per-function fixpoint came from the absint cache.
-        cache_hit: bool,
     },
     /// OSR-point certification summary for an attached module.
     OsrPoints {
@@ -478,12 +476,10 @@ impl EventKind {
                 func,
                 variant,
                 disjoint_facts,
-                cache_hit,
             } => vec![
                 ("func", U64(func)),
                 ("variant", U64(variant)),
                 ("disjoint_facts", U64(disjoint_facts)),
-                ("cache_hit", Bool(cache_hit)),
             ],
             EventKind::OsrPoints { certified } => {
                 vec![("certified", U64(certified))]
@@ -1142,7 +1138,6 @@ mod tests {
                 func: 1,
                 variant: 2,
                 disjoint_facts: 5,
-                cache_hit: true,
             },
             EventKind::OsrPoints { certified: 3 },
             EventKind::OsrTransfer {

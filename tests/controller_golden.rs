@@ -34,16 +34,6 @@ use protean::{FaultPlan, HealthConfig, Runtime, RuntimeConfig};
 use reqos::{ReqosConfig, ReqosController};
 use simos::{Os, OsConfig, Pid};
 
-/// Metric keys counting traffic through the process-wide analysis
-/// caches of `pir`: their values depend on what else the test process
-/// vetted before, not on the simulated run, so they are left out.
-const HOST_CACHE_KEYS: [&str; 4] = [
-    "absint.",
-    "effects.",
-    "gate.absint_cache_",
-    "gate.effects_cache_",
-];
-
 fn spawn_pair() -> (Os, Pid, Pid) {
     let cfg = OsConfig::small();
     let llc = cfg.machine.llc_bytes() / cfg.machine.line_bytes;
@@ -85,14 +75,10 @@ fn timeline(os: &mut Os, ctl: &mut Pc3d, secs: f64) -> String {
     out
 }
 
-/// The merged metrics snapshot, less the host-cache keys.
+/// The merged metrics snapshot, every key.
 fn metrics(ctl: &Pc3d) -> String {
     let mut out = String::from("-- metrics\n");
-    let snapshot = ctl.metrics_snapshot().to_string();
-    for line in snapshot
-        .lines()
-        .filter(|l| !HOST_CACHE_KEYS.iter().any(|k| l.starts_with(k)))
-    {
+    for line in ctl.metrics_snapshot().to_string().lines() {
         writeln!(out, "{line}").unwrap();
     }
     out
