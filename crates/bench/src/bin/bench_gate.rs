@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+
 //! CI regression gate for interpreter throughput.
 //!
 //! Raw M instr/s numbers are host-dependent, so the gate normalizes: it

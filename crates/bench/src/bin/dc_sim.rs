@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+
 //! Deterministic datacenter-simulation runner for CI.
 //!
 //! Runs the discrete-event warehouse simulation at a pinned seed and

@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+
 //! Deterministic (workload × decode-mode) interpreter matrix.
 //!
 //! Prints one CSV row of *simulated* counters per cell — instructions,

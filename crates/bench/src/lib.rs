@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+
 //! # `protean-bench` — experiment harness utilities
 //!
 //! Shared machinery for the figure/table regeneration harnesses (the

@@ -63,17 +63,28 @@ fn byte_eq_mask(word: u64, target: u64) -> u64 {
     x.wrapping_sub(LANES) & !x & HIGH
 }
 
+/// u64 words of recency order per set: one byte lane per way.
+const fn order_words(ways: usize) -> usize {
+    ways.div_ceil(8)
+}
+
+/// u64 words per set block: the tags, the recency order, the LRU-insert
+/// mask and the valid mask.
+const fn stride_of(ways: usize) -> usize {
+    ways + order_words(ways) + 2
+}
+
 /// One set-associative cache level, keyed by line address.
 ///
 /// The cache stores *line addresses* (byte address divided by line size);
 /// the hierarchy performs that division once.
 ///
-/// The way scan is word-parallel: alongside the full tags, each way
-/// keeps an 8-bit *partial tag* (the address bits just above the set
-/// index) packed eight ways per u64. A lookup scans one u64 per eight
-/// ways with SWAR byte-equality and verifies the (rare) candidate lanes
-/// against the full tags, so partial collisions and padding lanes can
-/// never fake a hit.
+/// All per-set state lives in one contiguous block of `meta` —
+/// `[full tags | recency order | LRU-insert mask | valid mask]` — so a
+/// set visit reads one short run of host memory. A lookup compares the
+/// full tags (an empty way holds `INVALID`, which no line address
+/// equals), and a fill takes the first invalid way from the lowest clear
+/// bit of the valid mask.
 ///
 /// Replacement is true LRU kept as a per-set *recency order*: one byte
 /// per way, way indices listed from the MRU lane (lane 0) to the LRU
@@ -86,146 +97,69 @@ fn byte_eq_mask(word: u64, target: u64) -> u64 {
 /// is the lowest-indexed way with the smallest stamp, and the order and
 /// mask reproduce its every choice.
 ///
-/// All per-set state lives in one contiguous block of `meta` —
-/// `[partial words | order words | LRU-insert mask | tags row]` — so one
-/// set visit touches one or two host cache lines instead of scattered
-/// arrays, and the words every visit reads and writes come first.
+/// [`Self::lookup`] and [`Self::lookup_or_fill`] run one set-visit body
+/// given the level's way count, as a literal for the way counts the
+/// shipped machine configs use (2, 4, 8 and 16), so the tag scan, the
+/// promote and the victim choice unroll for each level. Other way counts
+/// run the same body with the count read at run time.
 #[derive(Clone, Debug)]
 pub struct Cache {
     sets: usize,
     ways: usize,
     /// `sets - 1`, precomputed so indexing is a single mask.
     set_mask: usize,
-    /// `log2(sets)`: partial tags are taken just above the set-index bits
-    /// so lines of one set differ in their partials as early as possible.
-    set_bits: u32,
-    /// u64 words per byte-lane row (`ways.div_ceil(8)`): the partial
-    /// tags and the recency order each take this many.
-    lwords: usize,
-    /// u64 words per set block: `2 * lwords + 1 + ways`.
-    stride: usize,
-    /// Per-set metadata blocks. Set `s` occupies
-    /// `meta[s * stride .. (s + 1) * stride]`: first `lwords` words of
-    /// packed partial tags (0xFF per invalid or padding lane), then
-    /// `lwords` words of recency order (way indices, MRU lane first, 0xFF
-    /// per padding lane), then the LRU-insert mask (bit `w` set while way
+    /// Per-set metadata blocks of `stride_of(ways)` words. Set `s`'s
+    /// block holds the `ways` full tags (line address or `INVALID`),
+    /// then the recency order (way indices, MRU lane first, 0xFF per
+    /// padding lane), then the LRU-insert mask (bit `w` set while way
     /// `w` holds a line inserted at LRU and not touched since), then the
-    /// `ways` full tags (line address or `INVALID`).
+    /// valid mask (bit `w` set while way `w` holds a line).
     meta: Vec<u64>,
-    /// Number of `INVALID` entries across all sets. Zero (the steady
-    /// state once every way has filled) lets fills skip the invalid-way
-    /// scan outright.
-    invalid_count: usize,
     stats: CacheStats,
 }
 
-impl Cache {
-    /// Creates an empty cache.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sets` is not a power of two or `ways` is not in
-    /// `1..=64` (the LRU-insert mask holds one bit per way).
-    pub fn new(config: CacheConfig) -> Self {
-        assert!(config.sets.is_power_of_two(), "sets must be a power of two");
-        assert!(
-            (1..=64).contains(&config.ways),
-            "ways must be between 1 and 64"
-        );
-        let ways = config.ways;
-        let lwords = ways.div_ceil(8);
-        let stride = 2 * lwords + 1 + ways;
-        let mut block = vec![u64::MAX; stride];
-        // Partial words: 0xFF in every lane, the partial of INVALID,
-        // including the padding lanes past `ways`. Order: ways 0, 1, …
-        // from the MRU lane, 0xFF in padding lanes. No LRU-inserted
-        // lines. Tags: all INVALID.
-        for way in 0..ways {
-            let word = lwords + way / 8;
-            let shift = (way % 8) * 8;
-            block[word] &= !(0xFFu64 << shift);
-            block[word] |= (way as u64) << shift;
-        }
-        block[2 * lwords] = 0;
-        Cache {
-            sets: config.sets,
-            ways,
-            set_mask: config.sets - 1,
-            set_bits: config.sets.trailing_zeros(),
-            lwords,
-            stride,
-            meta: block.repeat(config.sets),
-            invalid_count: config.sets * ways,
-            stats: CacheStats::default(),
-        }
-    }
+/// One set's block seen with its way count. Every offset derives from
+/// `ways`, so a view made with a literal way count compiles to a set
+/// visit unrolled for that geometry, its bounds checks folded away.
+///
+/// The helpers are forced inline: left to the compiler, set-visit
+/// helpers like these stayed out-of-line calls on every access, which
+/// measured 6–9% slower end to end on the `perfbench` `solo` workload
+/// (`perfbench_cache_hotpath_ab@solo` in `BENCH_interp.json`).
+struct Set<'a> {
+    ways: usize,
+    block: &'a mut [u64],
+}
 
-    /// Index within `meta` of the block of the set `line` maps to.
-    #[inline]
-    fn block_of(&self, line: u64) -> usize {
-        debug_assert_ne!(line, INVALID, "line address reserved for empty ways");
-        ((line as usize) & self.set_mask) * self.stride
-    }
-
-    /// Index within `meta` of the LRU-insert mask of set block `sb`; the
-    /// recency order sits just before it, the tags row just after.
-    #[inline]
-    fn mask_at(&self, sb: usize) -> usize {
-        sb + 2 * self.lwords
-    }
-
-    /// The 8-bit partial tag of a line: the bits just above the set index.
-    #[inline]
-    fn partial_of(&self, line: u64) -> u8 {
-        (line >> self.set_bits) as u8
-    }
-
-    // The set-visit helpers below, and `lookup_or_fill`, are forced
-    // inline: left to the compiler, `place` and `lookup_or_fill` stayed
-    // out-of-line calls on every access, which measured 6% and 9% slower
-    // end to end on the `perfbench` `solo` workload.
-
-    /// Writes the full and partial tags of `way` in set block `sb`.
+impl Set<'_> {
+    /// Index of the LRU-insert mask; the order sits just before it.
     #[inline(always)]
-    fn store_tag(&mut self, sb: usize, way: usize, tag: u64) {
-        let slot = self.mask_at(sb) + 1 + way;
-        self.meta[slot] = tag;
-        let word = sb + way / 8;
-        let shift = (way % 8) * 8;
-        self.meta[word] &= !(0xFFu64 << shift);
-        self.meta[word] |= u64::from(self.partial_of(tag)) << shift;
+    fn mask_at(&self) -> usize {
+        self.ways + order_words(self.ways)
     }
 
-    /// The way in set block `sb` whose full tag is `tag`, if any: the
-    /// SWAR partial match proposes candidate lanes in ascending order and
-    /// the full tag decides, so collisions and padding lanes never match.
+    /// Index of the valid mask.
     #[inline(always)]
-    fn find_tag(&self, sb: usize, tag: u64) -> Option<usize> {
-        let tags = self.mask_at(sb) + 1;
-        let target = u64::from(self.partial_of(tag)) * LANES;
-        for (w, &word) in self.meta[sb..sb + self.lwords].iter().enumerate() {
-            let mut m = byte_eq_mask(word, target);
-            while m != 0 {
-                let way = w * 8 + (m.trailing_zeros() as usize >> 3);
-                if way < self.ways && self.meta[tags + way] == tag {
-                    return Some(way);
-                }
-                m &= m - 1;
-            }
-        }
-        None
+    fn valid_at(&self) -> usize {
+        self.mask_at() + 1
     }
 
-    /// Moves `way` to the MRU lane of set block `sb`'s recency order,
-    /// shifting every lane in front of it back by one. One SWAR search
-    /// finds the word holding `way`; the words before it shift whole,
-    /// carrying their last lane into the next word's first.
+    /// The way whose tag is `line`, if any.
     #[inline(always)]
-    fn promote(&mut self, sb: usize, way: usize) {
-        let order = sb + self.lwords;
+    fn find(&self, line: u64) -> Option<usize> {
+        self.block[..self.ways].iter().position(|&tag| tag == line)
+    }
+
+    /// Moves `way` to the MRU lane of the recency order, shifting every
+    /// lane in front of it back by one. One SWAR search finds the word
+    /// holding `way`; the words before it shift whole, carrying their
+    /// last lane into the next word's first.
+    #[inline(always)]
+    fn promote(&mut self, way: usize) {
+        let order = self.ways..self.mask_at();
         let target = way as u64 * LANES;
         let mut carry = way as u64;
-        for word in &mut self.meta[order..order + self.lwords] {
+        for word in &mut self.block[order] {
             let m = byte_eq_mask(*word, target);
             let shifted = (*word << 8) | carry;
             if m != 0 {
@@ -241,84 +175,152 @@ impl Cache {
         unreachable!("way {way} missing from its set's recency order");
     }
 
-    /// Records a touch of `way` in set block `sb`: an MRU touch promotes
-    /// it and clears its LRU-insert mark, an LRU insert marks it and
-    /// leaves the order alone.
+    /// Records a touch of `way`: an MRU touch promotes it and clears its
+    /// LRU-insert mark, an LRU insert marks it and leaves the order
+    /// alone.
     #[inline(always)]
-    fn place(&mut self, sb: usize, way: usize, pos: InsertPos) {
-        let mask = self.mask_at(sb);
+    fn place(&mut self, way: usize, pos: InsertPos) {
+        let mask = self.mask_at();
         match pos {
             InsertPos::Mru => {
-                self.promote(sb, way);
+                self.promote(way);
                 // Most sets hold no LRU-inserted line; skipping the store
                 // then keeps the hit path to one write.
-                if self.meta[mask] != 0 {
-                    self.meta[mask] &= !(1u64 << way);
+                if self.block[mask] != 0 {
+                    self.block[mask] &= !(1u64 << way);
                 }
             }
-            InsertPos::Lru => self.meta[mask] |= 1u64 << way,
+            InsertPos::Lru => self.block[mask] |= 1u64 << way,
         }
     }
 
-    /// The way to fill in set block `sb`: the first invalid way if any,
-    /// else the lowest-indexed LRU-inserted way if any, else the way in
-    /// the LRU lane.
+    /// The way to fill: the first invalid way if any, else the
+    /// lowest-indexed LRU-inserted way if any, else the way in the LRU
+    /// lane.
     #[inline(always)]
-    fn victim(&self, sb: usize) -> usize {
-        if self.invalid_count != 0 {
-            if let Some(way) = self.find_tag(sb, INVALID) {
-                return way;
-            }
+    fn victim(&self) -> usize {
+        let free = (!self.block[self.valid_at()]).trailing_zeros() as usize;
+        if free < self.ways {
+            return free;
         }
-        let inserted = self.meta[self.mask_at(sb)];
+        let inserted = self.block[self.mask_at()];
         if inserted != 0 {
             return inserted.trailing_zeros() as usize;
         }
         let last = self.ways - 1;
-        let word = self.meta[sb + self.lwords + last / 8];
+        let word = self.block[self.ways + last / 8];
         usize::from((word >> ((last % 8) * 8)) as u8)
     }
 
-    /// The miss path of [`Self::fill`] and [`Self::lookup_or_fill`]:
-    /// installs absent `line` in set block `sb` at `pos`. Returns the
+    /// Installs absent `line` at `pos` in the victim way. Returns the
     /// displaced tag (`INVALID` if the way was empty).
-    fn install(&mut self, sb: usize, line: u64, pos: InsertPos) -> u64 {
-        self.stats.fills += 1;
-        let way = self.victim(sb);
-        let evicted = self.meta[self.mask_at(sb) + 1 + way];
-        self.store_tag(sb, way, line);
-        self.place(sb, way, pos);
-        if evicted == INVALID {
-            self.invalid_count -= 1;
-        } else {
-            self.stats.evictions += 1;
-        }
+    #[inline(always)]
+    fn install(&mut self, line: u64, pos: InsertPos) -> u64 {
+        let way = self.victim();
+        let evicted = std::mem::replace(&mut self.block[way], line);
+        let valid = self.valid_at();
+        self.block[valid] |= 1u64 << way;
+        self.place(way, pos);
         evicted
     }
+}
 
-    /// The hit path of [`Self::lookup`] and [`Self::lookup_or_fill`]:
-    /// promotes `line` if it is resident in set block `sb`.
+impl Cache {
+    /// Creates an empty cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sets` is not a power of two or `ways` is not in
+    /// `1..=64` (the LRU-insert and valid masks hold one bit per way).
+    pub fn new(config: CacheConfig) -> Self {
+        assert!(config.sets.is_power_of_two(), "sets must be a power of two");
+        assert!(
+            (1..=64).contains(&config.ways),
+            "ways must be between 1 and 64"
+        );
+        let ways = config.ways;
+        // Tags all INVALID; order ways 0, 1, … from the MRU lane, 0xFF in
+        // padding lanes; no LRU-inserted and no valid way.
+        let mut block = vec![INVALID; stride_of(ways)];
+        for way in 0..ways {
+            let word = ways + way / 8;
+            let shift = (way % 8) * 8;
+            block[word] &= !(0xFFu64 << shift);
+            block[word] |= (way as u64) << shift;
+        }
+        block[ways + order_words(ways)..].fill(0);
+        Cache {
+            sets: config.sets,
+            ways,
+            set_mask: config.sets - 1,
+            meta: block.repeat(config.sets),
+            stats: CacheStats::default(),
+        }
+    }
+
+    /// Index within `meta` of the block of the set `line` maps to, for a
+    /// cache of `ways` ways.
     #[inline(always)]
-    fn promote_if_present(&mut self, sb: usize, line: u64) -> bool {
-        match self.find_tag(sb, line) {
-            Some(way) => {
-                self.place(sb, way, InsertPos::Mru);
-                true
-            }
-            None => false,
+    fn block_of(&self, ways: usize, line: u64) -> usize {
+        debug_assert_ne!(line, INVALID, "line address reserved for empty ways");
+        ((line as usize) & self.set_mask) * stride_of(ways)
+    }
+
+    /// The set `line` maps to, seen with `ways` ways (`self.ways`, or the
+    /// same count as a literal).
+    #[inline(always)]
+    fn set(&mut self, ways: usize, line: u64) -> Set<'_> {
+        debug_assert_eq!(ways, self.ways, "set viewed with another way count");
+        let start = self.block_of(ways, line);
+        Set {
+            ways,
+            block: &mut self.meta[start..start + stride_of(ways)],
+        }
+    }
+
+    /// Counts a fill that displaced `evicted` (`INVALID`: nothing).
+    fn count_fill(&mut self, evicted: u64) {
+        self.stats.fills += 1;
+        if evicted != INVALID {
+            self.stats.evictions += 1;
+        }
+    }
+
+    /// The set visit of [`Self::lookup`] (`fill` of `None`) and
+    /// [`Self::lookup_or_fill`], on a cache of `ways` ways.
+    #[inline(always)]
+    fn visit(&mut self, ways: usize, line: u64, fill: Option<InsertPos>) -> bool {
+        let mut set = self.set(ways, line);
+        if let Some(way) = set.find(line) {
+            set.place(way, InsertPos::Mru);
+            self.stats.hits += 1;
+            return true;
+        }
+        let evicted = fill.map(|pos| set.install(line, pos));
+        self.stats.misses += 1;
+        if let Some(evicted) = evicted {
+            self.count_fill(evicted);
+        }
+        false
+    }
+
+    /// [`Self::visit`] with the way count as a literal for every way
+    /// count a shipped machine config uses.
+    #[inline(always)]
+    fn visit_unrolled(&mut self, line: u64, fill: Option<InsertPos>) -> bool {
+        match self.ways {
+            2 => self.visit(2, line, fill),
+            4 => self.visit(4, line, fill),
+            8 => self.visit(8, line, fill),
+            16 => self.visit(16, line, fill),
+            ways => self.visit(ways, line, fill),
         }
     }
 
     /// Looks up a line; on hit promotes it to MRU. Returns whether it hit.
     #[inline]
     pub fn lookup(&mut self, line: u64) -> bool {
-        let hit = self.promote_if_present(self.block_of(line), line);
-        if hit {
-            self.stats.hits += 1;
-        } else {
-            self.stats.misses += 1;
-        }
-        hit
+        self.visit_unrolled(line, None)
     }
 
     /// Fused miss-and-fill: exactly [`Self::lookup`] followed, on a miss,
@@ -328,20 +330,13 @@ impl Cache {
     /// line.
     #[inline(always)]
     pub fn lookup_or_fill(&mut self, line: u64, pos: InsertPos) -> bool {
-        let sb = self.block_of(line);
-        if self.promote_if_present(sb, line) {
-            self.stats.hits += 1;
-            return true;
-        }
-        self.stats.misses += 1;
-        self.install(sb, line, pos);
-        false
+        self.visit_unrolled(line, Some(pos))
     }
 
     /// Checks presence without updating LRU state or statistics.
     pub fn probe(&self, line: u64) -> bool {
-        let tags = self.mask_at(self.block_of(line)) + 1;
-        self.meta[tags..tags + self.ways].contains(&line)
+        let start = self.block_of(self.ways, line);
+        self.meta[start..start + self.ways].contains(&line)
     }
 
     /// Fills a line at the given insertion position, returning the evicted
@@ -352,24 +347,28 @@ impl Cache {
     /// lowest-indexed line inserted at LRU and not touched since, else
     /// the least recently used line.
     pub fn fill(&mut self, line: u64, pos: InsertPos) -> Option<u64> {
-        let sb = self.block_of(line);
-        if let Some(way) = self.find_tag(sb, line) {
-            self.stats.fills += 1;
-            self.place(sb, way, pos);
-            return None;
-        }
-        let evicted = self.install(sb, line, pos);
+        let mut set = self.set(self.ways, line);
+        let evicted = match set.find(line) {
+            Some(way) => {
+                set.place(way, pos);
+                INVALID
+            }
+            None => set.install(line, pos),
+        };
+        self.count_fill(evicted);
         (evicted != INVALID).then_some(evicted)
     }
 
     /// Invalidates a line if present; returns whether it was present.
+    /// The emptied way is the set's next victim.
     pub fn invalidate(&mut self, line: u64) -> bool {
-        let sb = self.block_of(line);
-        let Some(way) = self.find_tag(sb, line) else {
+        let set = self.set(self.ways, line);
+        let Some(way) = set.find(line) else {
             return false;
         };
-        self.store_tag(sb, way, INVALID);
-        self.invalid_count += 1;
+        set.block[way] = INVALID;
+        let valid = set.valid_at();
+        set.block[valid] &= !(1u64 << way);
         true
     }
 
@@ -377,9 +376,9 @@ impl Cache {
     /// per-process LLC occupancy (the quantity non-temporal hints reduce).
     pub fn occupancy_where(&self, pred: impl Fn(u64) -> bool) -> usize {
         self.meta
-            .chunks_exact(self.stride)
+            .chunks_exact(stride_of(self.ways))
             .map(|block| {
-                block[2 * self.lwords + 1..]
+                block[..self.ways]
                     .iter()
                     .filter(|&&t| t != INVALID && pred(t))
                     .count()
@@ -400,11 +399,6 @@ impl Cache {
     /// Statistics so far.
     pub fn stats(&self) -> CacheStats {
         self.stats
-    }
-
-    /// Resets statistics (not contents).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
     }
 }
 
@@ -529,37 +523,35 @@ mod tests {
         }
         assert!(!c.lookup(7));
         assert!((c.stats().hit_rate() - 0.75).abs() < 1e-12);
-        c.reset_stats();
-        assert_eq!(c.stats().hit_rate(), 0.0);
     }
 
     #[test]
-    fn partial_tag_collisions_verify_full_tags() {
-        // sets = 2 ⇒ partials are bits 1..9. Lines 2, 514, and 1026 all
-        // land in set 0 with partial 0x01 (resp. 2>>1 = 1, 514>>1 = 257,
-        // 1026>>1 = 513 — all 1 mod 256): the SWAR scan flags every lane,
-        // and only the full-tag verify may decide.
+    fn lines_sharing_low_bits_never_alias() {
+        // Lines 2, 514, and 1026 all land in set 0 of a 2-set cache and
+        // agree in their low nine bits (2>>1 = 1, 514>>1 = 257, 1026>>1 =
+        // 513 — all 1 mod 256): only the full tag tells them apart.
         let mut c = Cache::new(CacheConfig { sets: 2, ways: 4 });
         c.fill(2, InsertPos::Mru);
         c.fill(514, InsertPos::Mru);
         assert!(c.lookup(2));
         assert!(c.lookup(514));
-        assert!(!c.lookup(1026), "partial collision must not fake a hit");
+        assert!(!c.lookup(1026), "a low-bit alias must not fake a hit");
         assert_eq!(c.stats().hits, 2);
         assert_eq!(c.stats().misses, 1);
     }
 
     #[test]
-    fn padding_lanes_never_fake_a_hit() {
-        // ways = 3 leaves five padding lanes per partial word holding
-        // 0xFF. Line 0x1FE sits in set 0 with partial 0xFF — it matches
-        // every padding lane and every invalid way, and must still miss.
+    fn all_ones_line_is_found_and_absent_one_misses() {
+        // Line 0x1FE sits in set 0 of a 2-set, 3-way cache with its eight
+        // bits above the set index all ones, the byte held by every
+        // padding lane of the recency order: it must miss while absent
+        // and hit once filled.
         let mut c = Cache::new(CacheConfig { sets: 2, ways: 3 });
         assert!(!c.lookup(0x1FE));
         c.fill(0x1FE, InsertPos::Mru);
         assert!(c.lookup(0x1FE));
-        // Fill the set; the 0xFF-partial line stays findable wherever the
-        // LRU put it, and an absent 0xFF-partial line still misses.
+        // Fill the set; the all-ones line stays findable wherever the
+        // LRU put it, and an absent line with the same low bits misses.
         c.fill(2, InsertPos::Mru);
         c.fill(4, InsertPos::Mru);
         assert!(c.lookup(0x1FE));
@@ -568,8 +560,8 @@ mod tests {
 
     #[test]
     fn wide_set_scan_finds_every_way() {
-        // 16 ways span two partial words; every resident line must be
-        // found regardless of which word its way lands in.
+        // 16 ways span two recency-order words; every resident line must
+        // be found regardless of which word its way's lane lands in.
         let mut c = Cache::new(CacheConfig { sets: 2, ways: 16 });
         let lines: Vec<u64> = (0..16u64).map(|i| i * 2).collect();
         for &l in &lines {

@@ -200,16 +200,6 @@ impl MemorySystem {
     pub fn llc_capacity(&self) -> usize {
         self.l3.capacity()
     }
-
-    /// Read access to one core's L1 (tests/diagnostics).
-    pub fn l1(&self, core: usize) -> &Cache {
-        &self.l1[core]
-    }
-
-    /// Read access to one core's L2 (tests/diagnostics).
-    pub fn l2(&self, core: usize) -> &Cache {
-        &self.l2[core]
-    }
 }
 
 #[cfg(test)]

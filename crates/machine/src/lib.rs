@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # `machine` — the simulated multicore server
 //!
@@ -11,7 +12,9 @@
 //! * **A three-level cache hierarchy**: private L1/L2 per core and a
 //!   **shared, inclusive-free LLC** — the contended resource PC3D manages.
 //!   Non-temporal fills ([`visa::Op::PrefetchNta`]) bypass the LLC or
-//!   insert at LRU position, per [`NtPolicy`].
+//!   insert at LRU position, per [`NtPolicy`]. Each level is a true-LRU
+//!   [`Cache`] whose set visit compares full tags and is unrolled for
+//!   every way count the shipped configurations use.
 //! * **Hardware performance counters** per context: cycles, instructions,
 //!   branches, cache hits/misses — everything the protean runtime's
 //!   introspection/extrospection reads.

@@ -105,6 +105,110 @@ impl StampCache {
     fn probe(&self, line: u64) -> bool {
         self.find(line).is_some()
     }
+
+    fn occupancy(&self) -> usize {
+        self.tags.iter().filter(|t| t.is_some()).count()
+    }
+}
+
+/// Reference for `MemorySystem::access`: `StampCache` levels walked
+/// through the unfused chain — lookups on the way down, the next-line
+/// prefetcher after a demand L1 miss, fills on the way back — with no
+/// fused set visit anywhere.
+struct StampHierarchy {
+    cfg: MachineConfig,
+    l1: Vec<StampCache>,
+    l2: Vec<StampCache>,
+    l3: StampCache,
+}
+
+impl StampHierarchy {
+    fn new(cfg: &MachineConfig) -> Self {
+        let level = |c: CacheConfig| StampCache::new(c.sets, c.ways);
+        StampHierarchy {
+            cfg: cfg.clone(),
+            l1: (0..cfg.cores).map(|_| level(cfg.l1)).collect(),
+            l2: (0..cfg.cores).map(|_| level(cfg.l2)).collect(),
+            l3: level(cfg.l3),
+        }
+    }
+
+    fn access(
+        &mut self,
+        core: usize,
+        paddr: u64,
+        kind: AccessKind,
+        counters: &mut PerfCounters,
+    ) -> u64 {
+        let line = paddr >> self.cfg.line_bytes.trailing_zeros();
+        let nt = kind == AccessKind::NonTemporalPrefetch;
+        if nt {
+            counters.nt_prefetches += 1;
+        }
+        if self.l1[core].lookup(line) {
+            return 0;
+        }
+        counters.l1_misses += 1;
+        if self.cfg.prefetcher.enabled && kind == AccessKind::Load {
+            for d in 1..=u64::from(self.cfg.prefetcher.degree) {
+                let target = line + d;
+                if self.l1[core].probe(target) || self.l2[core].probe(target) {
+                    continue;
+                }
+                counters.hw_prefetches += 1;
+                self.l2[core].fill(target, InsertPos::Mru);
+                if !self.l3.probe(target) {
+                    self.l3.fill(target, InsertPos::Mru);
+                }
+            }
+        }
+        if self.l2[core].lookup(line) {
+            self.l1[core].fill(line, InsertPos::Mru);
+            return self.cfg.l2_latency;
+        }
+        counters.l2_misses += 1;
+        if self.l3.lookup(line) {
+            counters.llc_hits += 1;
+            self.l1[core].fill(line, InsertPos::Mru);
+            if !nt {
+                self.l2[core].fill(line, InsertPos::Mru);
+            }
+            return self.cfg.l3_latency;
+        }
+        counters.llc_misses += 1;
+        self.l1[core].fill(line, InsertPos::Mru);
+        if !nt {
+            self.l2[core].fill(line, InsertPos::Mru);
+            self.l3.fill(line, InsertPos::Mru);
+        } else if self.cfg.nt_policy == NtPolicy::LruInsert {
+            self.l3.fill(line, InsertPos::Lru);
+        }
+        self.cfg.mem_latency
+    }
+}
+
+/// Every machine geometry in use: the experiment configs, the unit-test
+/// config, and the datacenter server box (written out here because
+/// `machine` cannot depend on `datacenter`).
+fn shipped_machines() -> Vec<MachineConfig> {
+    let mut server = MachineConfig::scaled();
+    server.l1 = CacheConfig { sets: 8, ways: 2 };
+    server.l2 = CacheConfig { sets: 16, ways: 4 };
+    server.l3 = CacheConfig { sets: 32, ways: 8 };
+    vec![
+        MachineConfig::scaled(),
+        MachineConfig::small(),
+        MachineConfig::default(),
+        server,
+    ]
+}
+
+fn arb_kind() -> impl Strategy<Value = AccessKind> {
+    prop_oneof![
+        Just(AccessKind::Load),
+        Just(AccessKind::Store),
+        Just(AccessKind::NonTemporalPrefetch),
+    ]
 }
 
 proptest! {
@@ -161,13 +265,15 @@ proptest! {
     }
 
     #[test]
-    fn swar_lookup_agrees_with_scalar_probe(
+    fn lookup_agrees_with_probe(
         ops in vec((any::<u64>(), arb_insert(), any::<bool>()), 0..2000),
     ) {
-        // `probe` scans the full tags scalar-style; `lookup` goes through
-        // the SWAR partial-tag scan. They must agree on presence for
-        // every line, on every geometry (including non-multiple-of-8
-        // ways with padding lanes and >8-way multi-word sets).
+        // `probe` scans the tags with the runtime way count; `lookup`
+        // goes through the set visit, unrolled for a shipped way count
+        // (4) or generic (3, 12). They must agree on presence for every
+        // line, on every geometry (including way counts that leave
+        // padding lanes in the recency order and >8-way multi-word
+        // orders).
         for (sets, ways) in [(4usize, 3usize), (16, 4), (2, 12)] {
             let mut c = Cache::new(CacheConfig { sets, ways });
             for &(line, pos, inv) in &ops {
@@ -188,13 +294,14 @@ proptest! {
     fn replacement_matches_the_stamp_reference(
         ops in vec((0u8..7, any::<u16>(), any::<bool>(), arb_insert()), 1..600),
     ) {
-        // Differential test against `StampCache` on every geometry in
-        // use and the edges around the 8-lane word boundary. Lines come
-        // from about three times the capacity, so sets stay contended,
-        // and half of them add a bit above the 8-bit partial tag, so
-        // partial-tag collisions are common.
+        // Differential test against `StampCache` on every way count in
+        // use, the edges around the 8-lane word of the recency order, and
+        // the widest sets (32 ways take the generic arm, 64 fill the
+        // valid and LRU-insert masks). Lines come from about three times
+        // the capacity, so sets stay contended, and half of them add bit
+        // 16, so resident lines often share all their low bits.
         for sets in [1usize, 2, 4, 8] {
-            for ways in [1usize, 2, 3, 4, 5, 8, 9, 12, 16, 17, 24] {
+            for ways in [1usize, 2, 3, 4, 5, 8, 9, 12, 16, 17, 24, 32, 64] {
                 let mut c = Cache::new(CacheConfig { sets, ways });
                 let mut r = StampCache::new(sets, ways);
                 let span = 3 * (sets * ways) as u64 + 1;
@@ -219,6 +326,43 @@ proptest! {
                 }
                 for line in lines {
                     prop_assert_eq!(c.probe(line), r.probe(line), "residency of {} in {}x{}", line, sets, ways);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hierarchy_matches_the_unfused_stamp_chain(
+        accesses in vec((any::<u16>(), any::<bool>(), 0u64..4, any::<u8>(), arb_kind()), 1..500),
+    ) {
+        // Differential test of the whole hierarchy, fused demand path
+        // included, against `StampHierarchy` on every shipped geometry,
+        // under both NT policies, with the prefetcher off and on. Lines
+        // are spaced one LLC set count apart, so each access lands in one
+        // of four adjacent sets at every level: half come from a hot pool
+        // of three lines per set (hits at every level), half from 64
+        // (more than any level's ways, so every set keeps evicting).
+        for base in shipped_machines() {
+            for nt_policy in [NtPolicy::Bypass, NtPolicy::LruInsert] {
+                for enabled in [false, true] {
+                    let mut cfg = base.clone();
+                    cfg.nt_policy = nt_policy;
+                    cfg.prefetcher = machine::PrefetcherConfig { enabled, degree: 2 };
+                    let mut mem = MemorySystem::new(&cfg);
+                    let mut reference = StampHierarchy::new(&cfg);
+                    let (mut got_counters, mut want_counters) = (PerfCounters::default(), PerfCounters::default());
+                    for (step, &(raw, hot, set, offset, kind)) in accesses.iter().enumerate() {
+                        let core = usize::from(raw) % cfg.cores;
+                        let tag = u64::from(raw >> 2) % if hot { 3 } else { 64 };
+                        let line = tag * cfg.l3.sets as u64 + set;
+                        let paddr = line * cfg.line_bytes + u64::from(offset) % cfg.line_bytes;
+                        let got = mem.access(core, paddr, kind, &mut got_counters);
+                        let want = reference.access(core, paddr, kind, &mut want_counters);
+                        prop_assert_eq!(got, want, "stall of {:?} to {:#x} on core {} at step {} in {:?}", kind, paddr, core, step, cfg);
+                    }
+                    prop_assert_eq!(got_counters, want_counters, "counters in {:?}", cfg);
+                    prop_assert_eq!(mem.llc_stats(), reference.l3.stats, "LLC stats in {:?}", cfg);
+                    prop_assert_eq!(mem.llc_occupancy_where(|_| true), reference.l3.occupancy(), "LLC occupancy in {:?}", cfg);
                 }
             }
         }

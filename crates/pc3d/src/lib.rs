@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # `pc3d` — Protean Code for Cache Contention in Datacenters
 //!

@@ -45,6 +45,7 @@ pub enum BinOp {
 impl BinOp {
     /// Evaluates the operator on two 64-bit values with the ISA's wrapping
     /// and no-trap semantics.
+    #[inline]
     pub fn eval(self, a: i64, b: i64) -> i64 {
         match self {
             BinOp::Add => a.wrapping_add(b),

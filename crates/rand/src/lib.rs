@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! In-tree, dependency-free stand-in for the `rand` crate.
 //!

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # `reqos` — the ReQoS baseline (nap-only contention mitigation)
 //!
