@@ -295,11 +295,13 @@ fn bench_absint(c: &mut Criterion) {
         b.iter(|| std::hint::black_box(pir::absint::certify_module(&m).len()))
     });
     group.bench_function("analyze_cached_soplex", |b| {
-        b.iter(|| std::hint::black_box(pir::absint::analyze_function_cached(&m, pir::FuncId(0))))
+        let f = m.function(pir::FuncId(0));
+        b.iter(|| std::hint::black_box(pir::absint::analyze_function_cached(f)))
     });
     group.finish();
-    // Headline analysis throughput plus certified OSR-point counts for the
-    // CI trend file.
+    // Headline analysis throughput, certified OSR-point counts and the
+    // cost of one protean compile (certify + prove every transfer) for
+    // the CI trend file.
     if let Some(dir) = report::report_dir() {
         for workload in ["soplex", "sphinx3", "web-search"] {
             let m = workloads::catalog::build(workload, llc).expect("workload");
@@ -317,10 +319,15 @@ fn bench_absint(c: &mut Criterion) {
                 .filter(|d| d.certificate().is_some())
                 .count() as u64;
             let m_insts_per_s = (insts * u64::from(reps)) as f64 / wall / 1e6;
+            let compiler = Compiler::new(Options::protean());
+            let t0 = std::time::Instant::now();
+            std::hint::black_box(compiler.compile(&m).expect("protean compile"));
+            let compile_protean_ms = t0.elapsed().as_secs_f64() * 1e3;
             let entry = Json::obj([
                 ("m_insts_per_s", Json::F64(m_insts_per_s)),
                 ("insts", Json::U64(insts)),
                 ("certified_osr_points", Json::U64(certified)),
+                ("compile_protean_ms", Json::F64(compile_protean_ms)),
                 ("wall_secs", Json::F64(wall)),
             ]);
             report::update_json_map(&dir.join("BENCH_absint.json"), workload, &entry)

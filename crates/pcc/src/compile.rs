@@ -253,22 +253,14 @@ impl Compiler {
                 .collect();
             // One proved transfer recipe per certificate the cut-point
             // prover can close against the module itself (identity
-            // remap). Shape-identical NT variants inherit these verbatim
-            // at the gate; rewritten variants get re-proved there.
-            let osr_recipes = osr
-                .iter()
-                .filter_map(|cert| {
-                    pir::prove_osr_transfer(
-                        module,
-                        module,
-                        cert.func,
-                        cert,
-                        &pir::EquivOptions::default(),
-                    )
-                    .recipe()
-                    .cloned()
-                })
-                .collect();
+            // remap), all proved under one analysis context.
+            // Shape-identical NT variants inherit these verbatim at the
+            // gate; rewritten variants get re-proved there.
+            let osr_recipes =
+                pir::prove_osr_transfers(module, module, &osr, &pir::EquivOptions::default())
+                    .into_iter()
+                    .filter_map(|v| v.recipe().cloned())
+                    .collect();
             let meta = EmbeddedMeta {
                 module: module.clone(),
                 link: link.clone(),

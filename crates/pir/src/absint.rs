@@ -36,9 +36,11 @@
 //! * [`crate::lint`] uses block reachability plus effect facts to flag
 //!   likely-divergent loops; [`crate::print`] renders the annotations.
 //!
-//! Results are memoized per `(module hash, function)` in a process-wide
-//! cache ([`analyze_function_cached`]) so the safety gate's hot path
-//! never recomputes a fixpoint for an unchanged module.
+//! Results are memoized per function in a process-wide cache
+//! ([`analyze_function_cached`]), keyed on the function body alone
+//! because the fixpoint reads nothing else, so the safety gate and the
+//! compiler never recompute a fixpoint for an unchanged function, in
+//! whatever module it sits.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -915,7 +917,7 @@ pub fn analyze_function_in(func: &Function, cfg: &Cfg) -> FuncAbsint {
 }
 
 // ---------------------------------------------------------------------------
-// Module-hash-keyed fixpoint cache
+// Function-keyed fixpoint cache
 // ---------------------------------------------------------------------------
 
 pub use crate::effects::CacheStats;
@@ -943,55 +945,50 @@ pub fn cache_stats() -> CacheStats {
     STATS.with(|s| s.get())
 }
 
-struct CacheEntry {
-    module: Module,
-    funcs: Vec<Option<Arc<FuncAbsint>>>,
-}
+/// Hash-keyed entries holding the analyzed function (compared on lookup
+/// to defuse collisions) beside its fixpoint.
+type AbsintCache = HashMap<u64, (Function, Arc<FuncAbsint>)>;
 
-static CACHE: OnceLock<Mutex<HashMap<u64, CacheEntry>>> = OnceLock::new();
+static CACHE: OnceLock<Mutex<AbsintCache>> = OnceLock::new();
 
-const CACHE_CAP: usize = 16;
+/// Cached functions. The catalog's largest compile-time working set is
+/// 114 functions (soplex, sphinx3, milc, mcf, omnetpp and libquantum);
+/// the nine apps of the co-location and fleet benchmarks hold 65.
+const CACHE_CAP: usize = 256;
 
-fn module_hash(module: &Module) -> u64 {
-    let mut h = DefaultHasher::new();
-    module.hash(&mut h);
-    h.finish()
-}
-
-/// [`analyze_function`] with memoization keyed by the module's hash.
+/// [`analyze_function`] with memoization keyed by the function's hash.
 ///
-/// The stored module is compared by value on lookup, so a hash collision
-/// degrades to a recompute instead of returning another module's facts.
-/// When the cache exceeds `CACHE_CAP` distinct modules it is cleared
-/// wholesale (module churn here means short-lived fuzz mutants, not a
-/// working set worth LRU bookkeeping).
-pub fn analyze_function_cached(module: &Module, fid: FuncId) -> Arc<FuncAbsint> {
-    let key = module_hash(module);
+/// The key is the function body alone, because the fixpoint reads
+/// nothing else: the same function in a renamed module, or beside
+/// different globals or other functions, hits. The stored function is
+/// compared by value on lookup, so a hash collision degrades to a
+/// recompute instead of returning another function's facts. When the
+/// cache exceeds `CACHE_CAP` functions it is cleared wholesale (churn
+/// here means short-lived fuzz mutants, not a working set worth LRU
+/// bookkeeping).
+pub fn analyze_function_cached(func: &Function) -> Arc<FuncAbsint> {
+    let mut h = DefaultHasher::new();
+    func.hash(&mut h);
+    let key = h.finish();
     let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
     {
         let guard = cache.lock().expect("absint cache poisoned");
-        if let Some(entry) = guard.get(&key) {
-            if entry.module == *module {
-                if let Some(fa) = entry.funcs.get(fid.index()).and_then(|f| f.clone()) {
-                    bump_stats(true);
-                    return fa;
-                }
+        if let Some((stored, fa)) = guard.get(&key) {
+            if stored == func {
+                bump_stats(true);
+                return fa.clone();
             }
         }
     }
     bump_stats(false);
-    let fa = Arc::new(analyze_function(module.function(fid)));
+    let fa = Arc::new(analyze_function(func));
     let mut guard = cache.lock().expect("absint cache poisoned");
     if guard.len() >= CACHE_CAP && !guard.contains_key(&key) {
         guard.clear();
     }
-    let entry = guard.entry(key).or_insert_with(|| CacheEntry {
-        module: module.clone(),
-        funcs: vec![None; module.functions().len()],
-    });
-    if entry.module == *module && fid.index() < entry.funcs.len() {
-        entry.funcs[fid.index()] = Some(fa.clone());
-    }
+    guard
+        .entry(key)
+        .or_insert_with(|| (func.clone(), fa.clone()));
     fa
 }
 
@@ -1115,7 +1112,7 @@ pub fn certify_function(module: &Module, fid: FuncId) -> Vec<OsrDecision> {
     }
     let dom = Dominators::compute(&cfg);
     let reducible = is_reducible(&cfg, &dom);
-    let absint = analyze_function_cached(module, fid);
+    let absint = analyze_function_cached(func);
     let live = Liveness::new(func);
     let sol = live.solve(&cfg);
 
@@ -1441,20 +1438,58 @@ mod tests {
 
     #[test]
     fn cache_hits_after_first_analysis() {
-        let mut m = Module::new("cache-test-unique-name");
-        let mut b = FunctionBuilder::new("f", 1);
+        // The function name is unique to this test, so the first query
+        // must miss whatever else the process analyzed.
+        let mut b = FunctionBuilder::new("cache-test-unique-fn", 1);
         let p = b.param(0);
         let d = b.add_imm(p, 3);
         b.ret(Some(d));
-        let f = m.add_function(b.finish());
-        m.set_entry(f);
+        let f = b.finish();
         let before = cache_stats();
-        let a1 = analyze_function_cached(&m, f);
-        let a2 = analyze_function_cached(&m, f);
+        let a1 = analyze_function_cached(&f);
+        let a2 = analyze_function_cached(&f);
         let after = cache_stats();
         assert!(Arc::ptr_eq(&a1, &a2));
         assert!(after.hits > before.hits);
         assert!(after.misses > before.misses);
+    }
+
+    #[test]
+    fn cache_key_is_the_function_not_its_module() {
+        // Two modules around the same function: they differ only in
+        // their names and in another global's initializer, neither of
+        // which the fixpoint reads.
+        let module = |name: &str, words: Vec<i64>| {
+            let mut m = Module::new(name);
+            let g = m.add_global("buf", 512);
+            m.add_global_full(crate::module::Global::with_words("table", words));
+            let mut b = FunctionBuilder::new("absint-key-probe", 0);
+            let base = b.global_addr(g);
+            let acc = b.const_(0);
+            b.counted_loop(0, 64, 1, |b, i| {
+                let off = b.shl_imm(i, 3);
+                let a = b.add(base, off);
+                let v = b.load(a, 0, Locality::Normal);
+                b.add_into(acc, acc, v);
+            });
+            b.ret(Some(acc));
+            let f = m.add_function(b.finish());
+            m.set_entry(f);
+            (m, f)
+        };
+        let (a, f) = module("key-a", vec![1, 2, 3]);
+        let (b, _) = module("key-b", vec![4, 5, 6]);
+        assert_ne!(a, b);
+        let first = analyze_function_cached(a.function(f));
+        let before = cache_stats();
+        let second = analyze_function_cached(b.function(f));
+        let after = cache_stats();
+        assert_eq!(
+            (after.hits - before.hits, after.misses - before.misses),
+            (1, 0),
+            "the same function in another module must hit"
+        );
+        assert!(Arc::ptr_eq(&first, &second));
     }
 
     #[test]

@@ -422,7 +422,7 @@ impl ModuleEffects {
 }
 
 // ---------------------------------------------------------------------------
-// Module-hash-keyed summary cache
+// Function-list-keyed summary cache
 // ---------------------------------------------------------------------------
 
 /// Hit/miss counts for a process-wide analysis cache, read per thread.
@@ -448,36 +448,34 @@ pub fn cache_stats() -> CacheStats {
     STATS.with(|s| s.get())
 }
 
-/// Hash-keyed entries holding the module (compared on lookup to defuse
-/// collisions) beside its summaries.
-type EffectsCache = HashMap<u64, (Module, Arc<ModuleEffects>)>;
+/// Hash-keyed entries holding the analyzed functions (compared on lookup
+/// to defuse collisions) beside their summaries.
+type EffectsCache = HashMap<u64, (Vec<Function>, Arc<ModuleEffects>)>;
 
 static CACHE: OnceLock<Mutex<EffectsCache>> = OnceLock::new();
 
 const CACHE_CAP: usize = 16;
 
-fn module_hash(module: &Module) -> u64 {
-    let mut h = DefaultHasher::new();
-    module.hash(&mut h);
-    h.finish()
-}
-
-/// [`ModuleEffects::analyze`] with memoization keyed by the module's hash.
+/// [`ModuleEffects::analyze`] with memoization keyed by the hash of
+/// `module.functions()`.
 ///
-/// The vet/equiv hot path queries effects for the same baseline module on
-/// every gate decision; this avoids recomputing the call-graph fixpoint
-/// each time. The stored module is compared by value on lookup, so a hash
+/// The key is the function list alone, because the call-graph fixpoint
+/// reads nothing else: a renamed module, or one whose globals differ,
+/// hits. The stored functions are compared by value on lookup, so a hash
 /// collision degrades to a recompute instead of returning another
 /// module's summaries. When the cache exceeds `CACHE_CAP` distinct
-/// modules it is cleared wholesale (module churn here means short-lived
+/// function lists it is cleared wholesale (churn here means short-lived
 /// fuzz mutants, not a working set worth LRU bookkeeping).
 pub fn analyze_cached(module: &Module) -> Arc<ModuleEffects> {
-    let key = module_hash(module);
+    let funcs = module.functions();
+    let mut h = DefaultHasher::new();
+    funcs.hash(&mut h);
+    let key = h.finish();
     let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
     {
         let guard = cache.lock().expect("effects cache poisoned");
         if let Some((stored, fx)) = guard.get(&key) {
-            if *stored == *module {
+            if stored.as_slice() == funcs {
                 STATS.with(|s| {
                     let mut v = s.get();
                     v.hits += 1;
@@ -499,7 +497,7 @@ pub fn analyze_cached(module: &Module) -> Arc<ModuleEffects> {
     }
     guard
         .entry(key)
-        .or_insert_with(|| (module.clone(), fx.clone()));
+        .or_insert_with(|| (funcs.to_vec(), fx.clone()));
     fx
 }
 
@@ -575,6 +573,39 @@ mod tests {
         assert!(after.misses >= before.misses, "miss counter monotone");
         assert!(after.hits > before.hits, "hit counter advanced");
         assert!(a.func(f).reads.globals.contains(&g));
+    }
+
+    #[test]
+    fn cache_key_is_the_function_list_not_the_module() {
+        // Two modules with the same functions: they differ only in their
+        // names and in another global's initializer, neither of which the
+        // summaries read.
+        let module = |name: &str, words: Vec<i64>| {
+            let mut m = Module::new(name);
+            let g = m.add_global("buf", 64);
+            m.add_global_full(crate::module::Global::with_words("table", words));
+            let mut b = FunctionBuilder::new("effects-key-probe", 0);
+            let base = b.global_addr(g);
+            let v = b.load(base, 0, Locality::Normal);
+            b.store(base, 8, v);
+            b.ret(Some(v));
+            let f = m.add_function(b.finish());
+            m.set_entry(f);
+            m
+        };
+        let a = module("key-a", vec![1, 2, 3]);
+        let b = module("key-b", vec![4, 5, 6]);
+        assert_ne!(a, b);
+        let first = analyze_cached(&a);
+        let before = cache_stats();
+        let second = analyze_cached(&b);
+        let after = cache_stats();
+        assert_eq!(
+            (after.hits - before.hits, after.misses - before.misses),
+            (1, 0),
+            "the same functions in another module must hit"
+        );
+        assert!(Arc::ptr_eq(&first, &second));
     }
 
     #[test]

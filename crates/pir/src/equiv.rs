@@ -44,11 +44,12 @@
 //! recursion is handled coinductively by matching call events).
 //! [`check_module`] discharges the assumption by checking every pair.
 
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
-use crate::absint::{self, Interval};
+use crate::absint::{self, FuncAbsint, Interval};
 use crate::dataflow::{is_reducible, Cfg, Dominators, Liveness};
 use crate::effects::ModuleEffects;
 use crate::ids::{BlockId, FuncId, GlobalId, Reg};
@@ -625,10 +626,14 @@ struct SideRun {
     flow: Flow,
 }
 
-/// Per-module context shared by all function pairs of one check.
+/// Per-module context shared by all function pairs of one check. Its
+/// analyses are looked up on first use and kept, so one context asks the
+/// process-wide caches at most once for the effect summaries and once
+/// per function for its abstract states.
 struct ModuleCx<'m> {
     module: &'m Module,
-    effects: Arc<ModuleEffects>,
+    effects: OnceCell<Arc<ModuleEffects>>,
+    absint: Vec<OnceCell<Arc<FuncAbsint>>>,
     /// Functions that are a single block of pure instructions (plus nops)
     /// ending in `ret` — these are summarized transparently at call sites,
     /// which is what makes inlining and DCE of pure calls provable.
@@ -651,9 +656,44 @@ impl<'m> ModuleCx<'m> {
             .collect();
         ModuleCx {
             module,
-            effects: crate::effects::analyze_cached(module),
+            effects: OnceCell::new(),
+            absint: vec![OnceCell::new(); module.functions().len()],
             pure_leaf,
         }
+    }
+
+    /// The module's transitive effect summaries.
+    fn effects(&self) -> &ModuleEffects {
+        self.effects
+            .get_or_init(|| crate::effects::analyze_cached(self.module))
+    }
+
+    /// The abstract block-entry states of function `fid`.
+    fn absint(&self, fid: FuncId) -> &FuncAbsint {
+        self.absint[fid.index()]
+            .get_or_init(|| absint::analyze_function_cached(self.module.function(fid)))
+    }
+}
+
+/// The (baseline, variant) contexts of one check, or one context serving
+/// both sides when the variant is the baseline module itself.
+struct CxPair<'m> {
+    baseline: ModuleCx<'m>,
+    variant: Option<ModuleCx<'m>>,
+}
+
+impl<'m> CxPair<'m> {
+    fn new(baseline: &'m Module, variant: &'m Module) -> CxPair<'m> {
+        CxPair {
+            baseline: ModuleCx::new(baseline),
+            variant: (!std::ptr::eq(baseline, variant)).then(|| ModuleCx::new(variant)),
+        }
+    }
+
+    /// The baseline and variant contexts, possibly the same one twice.
+    fn sides(&self) -> (&ModuleCx<'m>, &ModuleCx<'m>) {
+        let variant = self.variant.as_ref().unwrap_or(&self.baseline);
+        (&self.baseline, variant)
     }
 }
 
@@ -802,7 +842,7 @@ fn run_segment(
                             args: argv,
                         });
                     }
-                    if !cx.effects.writes_nothing(*callee) {
+                    if !cx.effects().writes_nothing(*callee) {
                         // The callee may write memory: invalidate all
                         // forwarding and advance the visible version.
                         version += 1;
@@ -1000,12 +1040,12 @@ fn run_bisim_from(
     let mut pin_banned: HashMap<(u32, u32), std::collections::HashSet<(bool, usize)>> =
         HashMap::new();
 
-    // Per-side abstract states (cached per module hash): sound interval
-    // invariants on every block's live-in registers, used to (a) seed cut
-    // symbols with ranges and (b) let the store buffer discharge aliasing
-    // queries the syntactic rule cannot.
-    let ab_b = absint::analyze_function_cached(cx_b.module, fid);
-    let ab_v = absint::analyze_function_cached(cx_v.module, fid);
+    // Per-side abstract states (kept by each context, cached per
+    // function process-wide): sound interval invariants on every block's
+    // live-in registers, used to (a) seed cut symbols with ranges and
+    // (b) let the store buffer discharge aliasing queries the syntactic
+    // rule cannot.
+    let ab_b = cx_b.absint(fid);
     // In Header mode the variant's prefix never executes, so invariants
     // absint derived from the variant's *entry* (e.g. "this register is
     // always 4 here") do not hold of transferred states — a compensation
@@ -1014,7 +1054,8 @@ fn run_bisim_from(
     // transferred run is the genuine continuation of an entry-reachable
     // execution. So only Entry mode may consult the variant's states.
     let variant_absint_valid = matches!(start, Start::Entry);
-    let same_globals = cx_b.module.globals() == cx_v.module.globals();
+    let ab_v = variant_absint_valid.then(|| cx_v.absint(fid));
+    let same_globals = std::ptr::eq(cx_b, cx_v) || cx_b.module.globals() == cx_v.module.globals();
 
     'rounds: for _round in 0..MAX_REFINEMENT_ROUNDS {
         let mut it = Interner {
@@ -1163,11 +1204,7 @@ fn run_bisim_from(
             let mut groups = Vec::new();
             let mut pins = Vec::new();
             let st_b = ab_b.block_in(tb);
-            let st_v = if variant_absint_valid {
-                ab_v.block_in(tv)
-            } else {
-                None
-            };
+            let st_v = ab_v.and_then(|ab| ab.block_in(tv));
             let banned = pin_banned.get(&(tb.0, tv.0));
             for ((vn, _), members) in classes.into_iter() {
                 // A class holding a global base address is pinned rather
@@ -1477,9 +1514,9 @@ pub fn check_function_in(
             reason: format!("no function {fid} in both modules"),
         };
     }
-    let cx_b = ModuleCx::new(baseline);
-    let cx_v = ModuleCx::new(variant);
-    check_function_cx(&cx_b, &cx_v, fid, opts)
+    let cx = CxPair::new(baseline, variant);
+    let (cx_b, cx_v) = cx.sides();
+    check_function_cx(cx_b, cx_v, fid, opts)
 }
 
 /// Proves (or refutes, or gives up on) observational equivalence of two
@@ -1500,14 +1537,14 @@ pub fn check_module(baseline: &Module, variant: &Module, opts: &EquivOptions) ->
             )],
         };
     }
-    let cx_b = ModuleCx::new(baseline);
-    let cx_v = ModuleCx::new(variant);
+    let cx = CxPair::new(baseline, variant);
+    let (cx_b, cx_v) = cx.sides();
     let results = (0..baseline.functions().len())
         .map(|i| {
             let fid = FuncId(i as u32);
             (
                 baseline.function(fid).name().to_string(),
-                check_function_cx(&cx_b, &cx_v, fid, opts),
+                check_function_cx(cx_b, cx_v, fid, opts),
             )
         })
         .collect();
@@ -1729,6 +1766,36 @@ pub fn prove_osr_transfer(
     cert: &absint::OsrCertificate,
     opts: &EquivOptions,
 ) -> TransferVerdict {
+    prove_transfer_cx(&CxPair::new(baseline, variant), fid, cert, opts)
+}
+
+/// [`prove_osr_transfer`] for every certificate in `certs`, each against
+/// its own function (`cert.func`), in certificate order. All the proofs
+/// read one analysis context per side — one in all when `variant` is
+/// `baseline` — so the effect summaries are looked up once and each
+/// function's abstract states at most once, whatever the number of
+/// certificates. Each verdict equals the one-certificate call's.
+pub fn prove_osr_transfers(
+    baseline: &Module,
+    variant: &Module,
+    certs: &[absint::OsrCertificate],
+    opts: &EquivOptions,
+) -> Vec<TransferVerdict> {
+    let cx = CxPair::new(baseline, variant);
+    certs
+        .iter()
+        .map(|cert| prove_transfer_cx(&cx, cert.func, cert, opts))
+        .collect()
+}
+
+fn prove_transfer_cx(
+    cx: &CxPair<'_>,
+    fid: FuncId,
+    cert: &absint::OsrCertificate,
+    opts: &EquivOptions,
+) -> TransferVerdict {
+    let (cx_b, cx_v) = cx.sides();
+    let (baseline, variant) = (cx_b.module, cx_v.module);
     if fid.index() >= baseline.functions().len() || fid.index() >= variant.functions().len() {
         return TransferVerdict::Unproved {
             reason: TransferRefusal::Malformed {
@@ -1760,7 +1827,7 @@ pub fn prove_osr_transfer(
         moves: pair.live.iter().map(|&(b, v)| (v, b)).collect(),
         consts: Vec::new(),
     };
-    validate_osr_transfer(baseline, variant, fid, cert, &recipe, opts)
+    validate_transfer_cx(cx, fid, cert, &recipe, opts)
 }
 
 /// Proves (or refutes, or gives up on) one explicit recipe — the
@@ -1776,6 +1843,18 @@ pub fn validate_osr_transfer(
     recipe: &TransferRecipe,
     opts: &EquivOptions,
 ) -> TransferVerdict {
+    validate_transfer_cx(&CxPair::new(baseline, variant), fid, cert, recipe, opts)
+}
+
+fn validate_transfer_cx(
+    cx: &CxPair<'_>,
+    fid: FuncId,
+    cert: &absint::OsrCertificate,
+    recipe: &TransferRecipe,
+    opts: &EquivOptions,
+) -> TransferVerdict {
+    let (cx_b, cx_v) = cx.sides();
+    let (baseline, variant) = (cx_b.module, cx_v.module);
     let malformed = |detail: String| TransferVerdict::Unproved {
         reason: TransferRefusal::Malformed { detail },
     };
@@ -1843,8 +1922,6 @@ pub fn validate_osr_transfer(
         }
     }
 
-    let cx_b = ModuleCx::new(baseline);
-    let cx_v = ModuleCx::new(variant);
     let start = Start::Header {
         baseline: cert.header,
         variant: recipe.variant_header,
@@ -1852,7 +1929,7 @@ pub fn validate_osr_transfer(
         moves: &recipe.moves,
         consts: &recipe.consts,
     };
-    match run_bisim_from(&cx_b, &cx_v, fid, opts, &start) {
+    match run_bisim_from(cx_b, cx_v, fid, opts, &start) {
         Outcome::Proved { nt_flips } => TransferVerdict::Proved {
             recipe: recipe.clone(),
             nt_flips,

@@ -87,8 +87,8 @@ pub use builder::FunctionBuilder;
 pub use effects::{CacheStats, FuncEffects, ModuleEffects, PtClass, RegionSet};
 pub use equiv::{
     check_function_in, check_module, interval_disjoint_facts, prove_osr_transfer,
-    validate_osr_transfer, Counterexample, EquivOptions, EquivReport, TransferRecipe,
-    TransferRefusal, TransferVerdict, Verdict,
+    prove_osr_transfers, validate_osr_transfer, Counterexample, EquivOptions, EquivReport,
+    TransferRecipe, TransferRefusal, TransferVerdict, Verdict,
 };
 pub use ids::{BlockId, FuncId, GlobalId, LoadSiteId, Reg};
 pub use inst::{BinOp, Inst, Locality, Term};

@@ -366,7 +366,7 @@ fn lint_likely_divergent_loops(cx: &FuncCx<'_>, module: &Module, out: &mut Vec<D
         return;
     }
     let dom = dataflow::Dominators::compute(&cx.cfg);
-    let absint = crate::absint::analyze_function_cached(module, cx.fid);
+    let absint = crate::absint::analyze_function_cached(cx.func);
     let fx = crate::effects::analyze_cached(module);
     for &h in info.headers() {
         if absint.block_in(h).is_none() {

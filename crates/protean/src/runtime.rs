@@ -1250,20 +1250,20 @@ mod tests {
         // record the vet path explicitly.
         rt.tracer_mut().set_enabled(true);
         // Vetting a variant consults the abstract interpreter: it looks
-        // up the effects fixpoint cache and an absint-consult event
-        // carries the per-vet fact delta.
+        // up the function's abstract states in the absint cache and an
+        // absint-consult event carries the per-vet fact delta.
         let worker = rt.module().function_by_name("worker").unwrap();
         // A nop-padded body fails the syntactic tier, forcing the
         // symbolic equivalence proof (which consults absint/effects).
         let mut padded = rt.module().function(worker).clone();
         padded.blocks_mut()[0].insts.insert(0, pir::Inst::Nop);
         // The vet runs at install; dispatch reuses its verdict.
-        let fx0 = pir::effects::cache_stats();
+        let ab0 = pir::absint::cache_stats();
         let good = rt.install_variant_ir(&mut os, worker, padded).unwrap();
         rt.dispatch(&mut os, good).unwrap();
-        let fx1 = pir::effects::cache_stats();
-        let consults = fx1.hits + fx1.misses - fx0.hits - fx0.misses;
-        assert!(consults > 0, "vet should touch the effects cache");
+        let ab1 = pir::absint::cache_stats();
+        let consults = ab1.hits + ab1.misses - ab0.hits - ab0.misses;
+        assert!(consults > 0, "vet should touch the absint cache");
         let jsonl = rt.trace_jsonl(&os);
         assert!(jsonl.contains("absint-consult"), "{jsonl}");
     }

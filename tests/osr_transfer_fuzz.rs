@@ -210,11 +210,31 @@ fn proved_recipes_cover_most_certified_headers() {
     let corpus = corpus();
     assert!(corpus.len() >= 20, "catalog shrank to {}", corpus.len());
     let per_program = protean_bench::pool::map(&corpus, |_, (name, m)| {
-        let mut certified = 0usize;
+        let opts = EquivOptions::default();
+        let certs = certs_of(m);
+        let verdicts: Vec<TransferVerdict> = certs
+            .iter()
+            .map(|cert| pir::prove_osr_transfer(m, m, cert.func, cert, &opts))
+            .collect();
+        // Proving all of a module's transfers under one analysis context
+        // changes no verdict, against the module itself or an NT variant.
+        assert!(
+            pir::prove_osr_transfers(m, m, &certs, &opts) == verdicts,
+            "{name}: batched self-transfer verdicts differ from one-by-one proofs"
+        );
+        if let Some(first) = certs.first() {
+            let vmod = nt_variant(m, first.func);
+            let one_by_one: Vec<TransferVerdict> = certs
+                .iter()
+                .map(|cert| pir::prove_osr_transfer(m, &vmod, cert.func, cert, &opts))
+                .collect();
+            assert!(
+                pir::prove_osr_transfers(m, &vmod, &certs, &opts) == one_by_one,
+                "{name}: batched NT-variant verdicts differ from one-by-one proofs"
+            );
+        }
         let mut proved = 0usize;
-        for cert in certs_of(m) {
-            certified += 1;
-            let verdict = pir::prove_osr_transfer(m, m, cert.func, &cert, &EquivOptions::default());
+        for (cert, verdict) in certs.iter().zip(verdicts) {
             match verdict {
                 TransferVerdict::Proved { .. } => proved += 1,
                 TransferVerdict::Refuted(cex) => fail_with_dump(
@@ -226,7 +246,7 @@ fn proved_recipes_cover_most_certified_headers() {
                 TransferVerdict::Unproved { .. } => {}
             }
         }
-        (certified, proved)
+        (certs.len(), proved)
     });
     let certified: usize = per_program.iter().map(|(c, _)| c).sum();
     let proved: usize = per_program.iter().map(|(_, p)| p).sum();
@@ -237,6 +257,36 @@ fn proved_recipes_cover_most_certified_headers() {
     assert!(
         proved * 10 >= certified * 6,
         "only {proved}/{certified} certified headers proved a transfer recipe"
+    );
+}
+
+/// A protean compile proves a transfer per certified header, but its
+/// analysis lookups follow the module's functions, not its certificates:
+/// one effects lookup per batch of proofs (a second when
+/// `check_invariants` re-proves the embedded recipes), and a small
+/// multiple of the function count in abstract-state lookups.
+#[test]
+fn protean_compile_lookups_do_not_grow_with_certificates() {
+    let m = catalog::build("milc", LLC_LINES).expect("milc");
+    let certs = certs_of(&m).len() as u64;
+    let funcs = m.functions().len() as u64;
+    assert!(
+        certs > funcs,
+        "milc has {certs} certificates in {funcs} functions"
+    );
+    let opts = pcc::Options::protean();
+    let lookups = |s: pir::CacheStats| s.hits + s.misses;
+    let (fx0, ab0) = (pir::effects::cache_stats(), absint::cache_stats());
+    pcc::Compiler::new(opts)
+        .compile(&m)
+        .expect("protean compile");
+    let fx = lookups(pir::effects::cache_stats()) - lookups(fx0);
+    let ab = lookups(absint::cache_stats()) - lookups(ab0);
+    let batches = 1 + u64::from(opts.check_invariants);
+    assert_eq!(fx, batches, "effects lookups for {certs} certificates");
+    assert!(
+        ab <= 2 * batches * funcs,
+        "{ab} absint lookups for {certs} certificates in {funcs} functions"
     );
 }
 
