@@ -11,15 +11,19 @@
 //! # Decoded-block dispatch
 //!
 //! The interpreter executes *pre-decoded basic blocks*, not single ops: a
-//! [`BlockCache`] (owned by the caller, alongside text) maps every entry
-//! PC to a `Vec<DecodedOp>` decoded once on first dispatch. A decoded op
-//! is operand-resolved — register numbers extracted, immediates widened,
+//! [`BlockCache`] (owned by the caller, alongside text) holds every block
+//! decoded so far back to back in one arena of `DecodedOp`s, with one word
+//! per text address giving the span of the block entered there. A block
+//! is decoded once, on its first dispatch. A decoded op is
+//! operand-resolved — register numbers extracted, immediates widened,
 //! call arguments copied out of the text op's heap `Vec` into an inline
-//! array — so replay never touches the `Op` encoding again. Decoding is
-//! 1:1: the op at index `i` of a block entered at `pc` is the text op at
-//! `pc + i`, and the budget is checked before every one of them, so
-//! quantum boundaries, instruction counts, PC samples, and OSR park points
-//! are those of per-op dispatch.
+//! array — so replay never touches the `Op` encoding again. Each ALU
+//! operator has its own decoded op in each operand form, so replay
+//! dispatches once per instruction. Decoding is 1:1: the op at index `i`
+//! of a block entered at `pc` is the text op at `pc + i`, and the budget
+//! is checked before every one of them, so quantum boundaries,
+//! instruction counts, PC samples, and OSR park points are those of
+//! per-op dispatch.
 //!
 //! Unlike the earlier range-based cache, decoded blocks are *copies* of
 //! the ops, so staleness would mean executing stale instructions — not
@@ -29,15 +33,15 @@
 //! discards all decoded blocks when the generation *or the text length*
 //! moves. The length resync closes the append-without-bump window: a
 //! block whose shape changes because text grew past its old end can never
-//! replay its stale decoded vector, even if the caller forgot the bump.
+//! replay its stale decoded ops, even if the caller forgot the bump.
 //! In-place mutation without a bump or length change remains a contract
 //! violation (every mutation site in `simos` bumps). EVT patches need no
 //! invalidation at all, because `CallVirt` reads its target cell from
 //! data memory on every dispatch.
 //!
-//! Retired decoded vectors are recycled through a pool across
-//! invalidations, so a recompilation storm (append + bump per variant)
-//! re-decodes into warm allocations instead of re-allocating per block.
+//! An invalidation empties the arena but keeps its capacity, so a
+//! recompilation storm (append + bump per variant) re-decodes into warm
+//! memory instead of re-allocating per block.
 //!
 //! For differential testing, [`BlockCache::set_fallback`] forces an
 //! *always-decode* path: every dispatch decodes the block fresh, without
@@ -47,6 +51,7 @@
 
 use std::collections::HashSet;
 
+use pir::BinOp;
 use visa::{Op, PReg, FRAME_REGS};
 
 use crate::config::{BtConfig, CostModel};
@@ -145,24 +150,50 @@ impl ArgList {
 }
 
 /// One operand-resolved instruction; a block holds one per text op.
+///
+/// `Op::Alu` and `Op::AluImm` decode to one variant per [`BinOp`]:
+/// `Add(dst, a, b)` reads two registers, `AddImm(dst, a, imm)` a register
+/// and an immediate. Each arm of the replay loop then calls
+/// [`BinOp::eval`] on a constant operator, so an ALU op costs one
+/// dispatch, not one on the op kind and a second on its operator.
 #[derive(Copy, Clone, Debug)]
 enum DecodedOp {
     Movi {
         dst: PReg,
         imm: i64,
     },
-    Alu {
-        op: pir::BinOp,
-        dst: PReg,
-        a: PReg,
-        b: PReg,
-    },
-    AluImm {
-        op: pir::BinOp,
-        dst: PReg,
-        a: PReg,
-        imm: i64,
-    },
+    Add(PReg, PReg, PReg),
+    Sub(PReg, PReg, PReg),
+    Mul(PReg, PReg, PReg),
+    Div(PReg, PReg, PReg),
+    Rem(PReg, PReg, PReg),
+    And(PReg, PReg, PReg),
+    Or(PReg, PReg, PReg),
+    Xor(PReg, PReg, PReg),
+    Shl(PReg, PReg, PReg),
+    Shr(PReg, PReg, PReg),
+    Eq(PReg, PReg, PReg),
+    Ne(PReg, PReg, PReg),
+    Lt(PReg, PReg, PReg),
+    Le(PReg, PReg, PReg),
+    Gt(PReg, PReg, PReg),
+    Ge(PReg, PReg, PReg),
+    AddImm(PReg, PReg, i64),
+    SubImm(PReg, PReg, i64),
+    MulImm(PReg, PReg, i64),
+    DivImm(PReg, PReg, i64),
+    RemImm(PReg, PReg, i64),
+    AndImm(PReg, PReg, i64),
+    OrImm(PReg, PReg, i64),
+    XorImm(PReg, PReg, i64),
+    ShlImm(PReg, PReg, i64),
+    ShrImm(PReg, PReg, i64),
+    EqImm(PReg, PReg, i64),
+    NeImm(PReg, PReg, i64),
+    LtImm(PReg, PReg, i64),
+    LeImm(PReg, PReg, i64),
+    GtImm(PReg, PReg, i64),
+    GeImm(PReg, PReg, i64),
     Load {
         dst: PReg,
         base: PReg,
@@ -209,24 +240,31 @@ enum DecodedOp {
     Halt,
 }
 
+const _: () = assert!(std::mem::size_of::<DecodedOp>() == 16);
+
+/// Bits of a span word that hold the block's length; the rest hold its
+/// start in the arena.
+const SPAN_LEN_BITS: u32 = 8;
+const _: () = assert!(MAX_BLOCK_OPS < 1 << SPAN_LEN_BITS);
+
 /// Decoded-block cache for one text space.
 ///
-/// Maps entry PC → a pre-decoded op vector for the basic block starting
-/// there (straight-line ops plus the terminating control-flow op, capped
-/// at `MAX_BLOCK_OPS` ops). Blocks are decoded lazily on first dispatch
-/// and discarded wholesale when the text generation or length moves;
-/// retired vectors are pooled for reuse across invalidations.
+/// Holds the pre-decoded ops of every basic block dispatched so far
+/// (straight-line ops plus the terminating control-flow op, capped at
+/// `MAX_BLOCK_OPS` ops) back to back in one arena, indexed by entry PC.
+/// Blocks are decoded lazily on first dispatch and discarded wholesale
+/// when the text generation or length moves; the arena keeps its
+/// capacity across invalidations.
 #[derive(Clone, Debug, Default)]
 pub struct BlockCache {
     /// Generation of the text the current entries were decoded against.
     gen: u64,
-    /// Decoded-block index + 1 keyed by entry PC; 0 = not yet decoded.
-    idx_at: Vec<u32>,
-    /// Decoded blocks, one op per text op.
-    blocks: Vec<Vec<DecodedOp>>,
-    /// Retired op vectors (capacity kept), reused by later decodes so a
-    /// patch storm re-decodes into warm allocations.
-    pool: Vec<Vec<DecodedOp>>,
+    /// One word per text address: the block entered there as
+    /// `start << SPAN_LEN_BITS | len` into `ops`; 0 = not yet decoded (a
+    /// decoded block holds at least one op).
+    spans: Vec<u64>,
+    /// Every decoded block back to back, one op per text op.
+    ops: Vec<DecodedOp>,
     /// Uncached decode slot for the always-decode fallback.
     scratch: Vec<DecodedOp>,
     /// Forced always-decode mode: every dispatch decodes fresh and
@@ -262,38 +300,44 @@ impl BlockCache {
     /// Aligns the cache with `text_len` ops at generation `gen`, dropping
     /// every decoded block if either moved. A length change without a
     /// generation bump is treated as a mutation too, so the append-resync
-    /// path can never replay a stale decoded vector.
+    /// path can never replay stale decoded ops.
     fn sync(&mut self, text_len: usize, gen: u64) {
-        if gen != self.gen || self.idx_at.len() != text_len {
-            if !self.blocks.is_empty() {
+        if gen != self.gen || self.spans.len() != text_len {
+            if !self.ops.is_empty() {
                 self.stats.invalidations += 1;
             }
-            self.idx_at.clear();
-            self.idx_at.resize(text_len, 0);
-            for mut ops in self.blocks.drain(..) {
-                ops.clear();
-                self.pool.push(ops);
-            }
+            self.spans.clear();
+            self.spans.resize(text_len, 0);
+            self.ops.clear();
             self.gen = gen;
         }
     }
 
     /// Resolves the decoded block entered at `pc`, decoding and caching
     /// it if unseen. `None` when `pc` is outside text.
-    #[inline]
+    #[inline(always)]
     fn ensure(&mut self, pc: u32, text: &[Op]) -> Option<&[DecodedOp]> {
-        let start = pc as usize;
-        let slot = *self.idx_at.get(start)?;
-        if slot != 0 {
-            self.stats.hits += 1;
-            return Some(&self.blocks[slot as usize - 1]);
+        let span = *self.spans.get(pc as usize)?;
+        if span == 0 {
+            return Some(self.decode_into_arena(pc as usize, text));
         }
+        self.stats.hits += 1;
+        let start = (span >> SPAN_LEN_BITS) as usize;
+        let len = (span & ((1 << SPAN_LEN_BITS) - 1)) as usize;
+        Some(&self.ops[start..start + len])
+    }
+
+    /// Miss path of [`Self::ensure`]: appends the block at `start` (inside
+    /// text) to the arena and records its span.
+    #[cold]
+    #[inline(never)]
+    fn decode_into_arena(&mut self, start: usize, text: &[Op]) -> &[DecodedOp] {
         self.stats.misses += 1;
-        let mut ops = self.pool.pop().unwrap_or_default();
-        decode_block(text, start, &mut ops);
-        self.blocks.push(ops);
-        self.idx_at[start] = self.blocks.len() as u32;
-        self.blocks.last().map(Vec::as_slice)
+        let at = self.ops.len();
+        decode_block(text, start, &mut self.ops);
+        let len = self.ops.len() - at;
+        self.spans[start] = (at as u64) << SPAN_LEN_BITS | len as u64;
+        &self.ops[at..]
     }
 
     /// Decodes the block at `pc` into the scratch slot, uncached (the
@@ -304,6 +348,7 @@ impl BlockCache {
             return None;
         }
         self.stats.misses += 1;
+        self.scratch.clear();
         decode_block(text, start, &mut self.scratch);
         Some(&self.scratch)
     }
@@ -324,10 +369,9 @@ fn is_straight(op: &Op) -> bool {
     )
 }
 
-/// Decodes the basic block at `start` (straight-line run plus terminator,
-/// capped at `MAX_BLOCK_OPS` ops) into `out`, one decoded op per text op.
+/// Appends the basic block at `start` (straight-line run plus terminator,
+/// capped at `MAX_BLOCK_OPS` ops) to `out`, one decoded op per text op.
 fn decode_block(text: &[Op], start: usize, out: &mut Vec<DecodedOp>) {
-    out.clear();
     let end = text.len().min(start.saturating_add(MAX_BLOCK_OPS));
     for op in &text[start..end] {
         out.push(decode_one(op));
@@ -344,17 +388,41 @@ fn decode_one(op: &Op) -> DecodedOp {
             dst: *dst,
             imm: *imm,
         },
-        Op::Alu { op, dst, a, b } => DecodedOp::Alu {
-            op: *op,
-            dst: *dst,
-            a: *a,
-            b: *b,
+        &Op::Alu { op, dst, a, b } => match op {
+            BinOp::Add => DecodedOp::Add(dst, a, b),
+            BinOp::Sub => DecodedOp::Sub(dst, a, b),
+            BinOp::Mul => DecodedOp::Mul(dst, a, b),
+            BinOp::Div => DecodedOp::Div(dst, a, b),
+            BinOp::Rem => DecodedOp::Rem(dst, a, b),
+            BinOp::And => DecodedOp::And(dst, a, b),
+            BinOp::Or => DecodedOp::Or(dst, a, b),
+            BinOp::Xor => DecodedOp::Xor(dst, a, b),
+            BinOp::Shl => DecodedOp::Shl(dst, a, b),
+            BinOp::Shr => DecodedOp::Shr(dst, a, b),
+            BinOp::Eq => DecodedOp::Eq(dst, a, b),
+            BinOp::Ne => DecodedOp::Ne(dst, a, b),
+            BinOp::Lt => DecodedOp::Lt(dst, a, b),
+            BinOp::Le => DecodedOp::Le(dst, a, b),
+            BinOp::Gt => DecodedOp::Gt(dst, a, b),
+            BinOp::Ge => DecodedOp::Ge(dst, a, b),
         },
-        Op::AluImm { op, dst, a, imm } => DecodedOp::AluImm {
-            op: *op,
-            dst: *dst,
-            a: *a,
-            imm: *imm,
+        &Op::AluImm { op, dst, a, imm } => match op {
+            BinOp::Add => DecodedOp::AddImm(dst, a, imm),
+            BinOp::Sub => DecodedOp::SubImm(dst, a, imm),
+            BinOp::Mul => DecodedOp::MulImm(dst, a, imm),
+            BinOp::Div => DecodedOp::DivImm(dst, a, imm),
+            BinOp::Rem => DecodedOp::RemImm(dst, a, imm),
+            BinOp::And => DecodedOp::AndImm(dst, a, imm),
+            BinOp::Or => DecodedOp::OrImm(dst, a, imm),
+            BinOp::Xor => DecodedOp::XorImm(dst, a, imm),
+            BinOp::Shl => DecodedOp::ShlImm(dst, a, imm),
+            BinOp::Shr => DecodedOp::ShrImm(dst, a, imm),
+            BinOp::Eq => DecodedOp::EqImm(dst, a, imm),
+            BinOp::Ne => DecodedOp::NeImm(dst, a, imm),
+            BinOp::Lt => DecodedOp::LtImm(dst, a, imm),
+            BinOp::Le => DecodedOp::LeImm(dst, a, imm),
+            BinOp::Gt => DecodedOp::GtImm(dst, a, imm),
+            BinOp::Ge => DecodedOp::GeImm(dst, a, imm),
         },
         Op::Load { dst, base, offset } => DecodedOp::Load {
             dst: *dst,
@@ -858,21 +926,51 @@ fn run_impl<const BT: bool>(
             } else {
                 0
             };
+            // `$op` is a constant, so `eval`'s own match folds away.
+            macro_rules! alu {
+                ($op:ident, $dst:expr, $a:expr, $b:expr) => {{
+                    used += costs.alu + bt_inst_tax;
+                    let v = BinOp::$op.eval($a, $b);
+                    ctx.set_reg($dst, v);
+                }};
+            }
             match *dop {
                 DecodedOp::Movi { dst, imm } => {
                     used += costs.alu + bt_inst_tax;
                     ctx.set_reg(dst, imm);
                 }
-                DecodedOp::Alu { op, dst, a, b } => {
-                    used += costs.alu + bt_inst_tax;
-                    let v = op.eval(ctx.reg(a), ctx.reg(b));
-                    ctx.set_reg(dst, v);
-                }
-                DecodedOp::AluImm { op, dst, a, imm } => {
-                    used += costs.alu + bt_inst_tax;
-                    let v = op.eval(ctx.reg(a), imm);
-                    ctx.set_reg(dst, v);
-                }
+                DecodedOp::Add(dst, a, b) => alu!(Add, dst, ctx.reg(a), ctx.reg(b)),
+                DecodedOp::Sub(dst, a, b) => alu!(Sub, dst, ctx.reg(a), ctx.reg(b)),
+                DecodedOp::Mul(dst, a, b) => alu!(Mul, dst, ctx.reg(a), ctx.reg(b)),
+                DecodedOp::Div(dst, a, b) => alu!(Div, dst, ctx.reg(a), ctx.reg(b)),
+                DecodedOp::Rem(dst, a, b) => alu!(Rem, dst, ctx.reg(a), ctx.reg(b)),
+                DecodedOp::And(dst, a, b) => alu!(And, dst, ctx.reg(a), ctx.reg(b)),
+                DecodedOp::Or(dst, a, b) => alu!(Or, dst, ctx.reg(a), ctx.reg(b)),
+                DecodedOp::Xor(dst, a, b) => alu!(Xor, dst, ctx.reg(a), ctx.reg(b)),
+                DecodedOp::Shl(dst, a, b) => alu!(Shl, dst, ctx.reg(a), ctx.reg(b)),
+                DecodedOp::Shr(dst, a, b) => alu!(Shr, dst, ctx.reg(a), ctx.reg(b)),
+                DecodedOp::Eq(dst, a, b) => alu!(Eq, dst, ctx.reg(a), ctx.reg(b)),
+                DecodedOp::Ne(dst, a, b) => alu!(Ne, dst, ctx.reg(a), ctx.reg(b)),
+                DecodedOp::Lt(dst, a, b) => alu!(Lt, dst, ctx.reg(a), ctx.reg(b)),
+                DecodedOp::Le(dst, a, b) => alu!(Le, dst, ctx.reg(a), ctx.reg(b)),
+                DecodedOp::Gt(dst, a, b) => alu!(Gt, dst, ctx.reg(a), ctx.reg(b)),
+                DecodedOp::Ge(dst, a, b) => alu!(Ge, dst, ctx.reg(a), ctx.reg(b)),
+                DecodedOp::AddImm(dst, a, imm) => alu!(Add, dst, ctx.reg(a), imm),
+                DecodedOp::SubImm(dst, a, imm) => alu!(Sub, dst, ctx.reg(a), imm),
+                DecodedOp::MulImm(dst, a, imm) => alu!(Mul, dst, ctx.reg(a), imm),
+                DecodedOp::DivImm(dst, a, imm) => alu!(Div, dst, ctx.reg(a), imm),
+                DecodedOp::RemImm(dst, a, imm) => alu!(Rem, dst, ctx.reg(a), imm),
+                DecodedOp::AndImm(dst, a, imm) => alu!(And, dst, ctx.reg(a), imm),
+                DecodedOp::OrImm(dst, a, imm) => alu!(Or, dst, ctx.reg(a), imm),
+                DecodedOp::XorImm(dst, a, imm) => alu!(Xor, dst, ctx.reg(a), imm),
+                DecodedOp::ShlImm(dst, a, imm) => alu!(Shl, dst, ctx.reg(a), imm),
+                DecodedOp::ShrImm(dst, a, imm) => alu!(Shr, dst, ctx.reg(a), imm),
+                DecodedOp::EqImm(dst, a, imm) => alu!(Eq, dst, ctx.reg(a), imm),
+                DecodedOp::NeImm(dst, a, imm) => alu!(Ne, dst, ctx.reg(a), imm),
+                DecodedOp::LtImm(dst, a, imm) => alu!(Lt, dst, ctx.reg(a), imm),
+                DecodedOp::LeImm(dst, a, imm) => alu!(Le, dst, ctx.reg(a), imm),
+                DecodedOp::GtImm(dst, a, imm) => alu!(Gt, dst, ctx.reg(a), imm),
+                DecodedOp::GeImm(dst, a, imm) => alu!(Ge, dst, ctx.reg(a), imm),
                 DecodedOp::Load { dst, base, offset } => {
                     let addr = ctx.reg(base).wrapping_add(offset) as u64;
                     if !in_bounds(addr, data_len) {
@@ -1050,7 +1148,7 @@ fn run_impl<const BT: bool>(
                     if ctx.frames.is_empty() {
                         // Returned from the entry frame: program finished.
                         ctx.base = 0;
-                        used += cost;
+                        used += cost + bt_inst_tax;
                         pc = tpc as u32;
                         ctx.status = ExecStatus::Halted;
                         break 'dispatch StopReason::Halted;
@@ -1076,7 +1174,7 @@ fn run_impl<const BT: bool>(
                     ctx.reports.push((channel, v));
                 }
                 DecodedOp::Wait => {
-                    used += costs.alu;
+                    used += costs.alu + bt_inst_tax;
                     let Some(next) = checked_next_pc(tpc) else {
                         pc = tpc as u32;
                         break 'dispatch fault(ctx, tpc as u64 + 1);
@@ -1086,7 +1184,7 @@ fn run_impl<const BT: bool>(
                     break 'dispatch StopReason::Waiting;
                 }
                 DecodedOp::Halt => {
-                    used += costs.alu;
+                    used += costs.alu + bt_inst_tax;
                     pc = tpc as u32;
                     ctx.status = ExecStatus::Halted;
                     break 'dispatch StopReason::Halted;
@@ -1115,7 +1213,6 @@ fn run_impl<const BT: bool>(
 mod tests {
     use super::*;
     use crate::config::MachineConfig;
-    use pir::BinOp;
 
     fn env_parts() -> (MemorySystem, Vec<u8>, PerfCounters, BlockCache) {
         let cfg = MachineConfig::small();
@@ -1971,6 +2068,47 @@ mod tests {
     }
 
     #[test]
+    fn bt_tax_is_charged_on_the_ending_instruction() {
+        // 15 `Movi`s and an ending make 16 instructions, so the ending
+        // draws the per-16-instruction tax. Whatever the ending, the
+        // cycles charged must be the base costs plus `bt_overhead()`.
+        for ending in [Op::Halt, Op::Wait, Op::Ret { src: None }] {
+            let mut text = vec![
+                Op::Movi {
+                    dst: PReg(0),
+                    imm: 1
+                };
+                15
+            ];
+            text.push(ending.clone());
+            let time = |bt: bool| {
+                let (mut mem, mut data, mut counters, mut blocks) = env_parts();
+                let mut ctx = ExecContext::new(0, 1, 0);
+                if bt {
+                    ctx = ctx.with_binary_translation(BtConfig::default());
+                }
+                let mut env = ExecEnv {
+                    text: &text,
+                    text_gen: 0,
+                    blocks: &mut blocks,
+                    data: &mut data,
+                    mem: &mut mem,
+                    core: 0,
+                    counters: &mut counters,
+                    costs: CostModel::default(),
+                };
+                let res = run(&mut ctx, &mut env, 1_000_000);
+                assert_ne!(res.stop, StopReason::BudgetExhausted);
+                (res.cycles, ctx.bt_overhead().unwrap_or(0))
+            };
+            let (base, _) = time(false);
+            let (charged, overhead) = time(true);
+            assert_eq!(overhead, BtConfig::default().per_16_insts, "{ending:?}");
+            assert_eq!(charged, base + overhead, "{ending:?}");
+        }
+    }
+
+    #[test]
     fn bt_translation_cache_spills_far_targets() {
         // Targets beyond the dense bitset limit still deduplicate, and the
         // dense part never grows to cover them.
@@ -2411,7 +2549,7 @@ mod tests {
     }
 
     #[test]
-    fn invalidation_recycles_decoded_vectors_through_pool() {
+    fn invalidation_reuses_the_decoded_arena() {
         let text_a = counted_loop_text();
         let (mut mem, mut data, mut counters, mut blocks) = env_parts();
         let mut ctx = ExecContext::new(0, 1, 0);
@@ -2427,13 +2565,15 @@ mod tests {
         };
         let res = run(&mut ctx, &mut env, 1_000_000);
         assert_eq!(res.stop, StopReason::Halted);
-        let decoded_blocks = blocks.blocks.len();
-        assert!(decoded_blocks >= 2);
-        // Bump the generation: the decoded set drops, every retired
-        // vector lands in the pool, and the next decode drains it.
+        assert!(blocks.stats().misses >= 2);
+        let decoded_ops = blocks.ops.len();
+        let capacity = blocks.ops.capacity();
+        // Bump the generation: the arena empties but keeps its capacity,
+        // and every span resets to "not decoded".
         blocks.sync(text_a.len(), 1);
-        assert_eq!(blocks.blocks.len(), 0);
-        assert_eq!(blocks.pool.len(), decoded_blocks);
+        assert!(blocks.ops.is_empty());
+        assert_eq!(blocks.ops.capacity(), capacity);
+        assert!(blocks.spans.iter().all(|&s| s == 0));
         assert_eq!(blocks.stats().invalidations, 1);
         let mut ctx = ExecContext::new(0, 1, 0);
         let mut env = ExecEnv {
@@ -2448,10 +2588,10 @@ mod tests {
         };
         let res = run(&mut ctx, &mut env, 1_000_000);
         assert_eq!(res.stop, StopReason::Halted);
-        assert!(
-            blocks.pool.len() < decoded_blocks,
-            "decode should reuse pooled vectors"
-        );
+        // The rerun decodes the same blocks again, into the same memory.
+        assert_eq!(blocks.ops.len(), decoded_ops);
+        assert_eq!(blocks.ops.capacity(), capacity);
+        assert_eq!(blocks.stats().invalidations, 1);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Property-based tests for the machine: cache invariants, hierarchy
-//! policies, and interpreter robustness against arbitrary code.
+//! policies, interpreter robustness against arbitrary code, and every
+//! ALU operator's result in both decode modes.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -209,6 +210,110 @@ fn arb_kind() -> impl Strategy<Value = AccessKind> {
         Just(AccessKind::Store),
         Just(AccessKind::NonTemporalPrefetch),
     ]
+}
+
+/// Operands on the edges of `BinOp::eval`'s rules: zero (the no-trap
+/// divisor), ±1 (with `i64::MIN`, the overflowing division), the
+/// extremes, and shift counts at and past the 6-bit mask.
+const EDGE_OPERANDS: [i64; 8] = [0, 1, -1, i64::MIN, i64::MAX, 63, 64, 255];
+
+fn arb_operand() -> impl Strategy<Value = i64> {
+    prop_oneof![
+        any::<i64>(),
+        (0..EDGE_OPERANDS.len()).prop_map(|i| EDGE_OPERANDS[i]),
+    ]
+}
+
+/// Runs every operator of `BinOp::ALL` on `a` and `b` in both operand
+/// forms, under the decoded tier and under the always-decode fallback,
+/// and checks each stored result against `BinOp::eval`. With `one_reg`
+/// the register form reads both operands from one register (`b` must
+/// equal `a`). Both modes share the decoder, so an operator decoded onto
+/// the wrong arm is caught only by this oracle, not by comparing them.
+fn assert_operators_match_eval(a: i64, b: i64, one_reg: bool) {
+    let rb = if one_reg { PReg(0) } else { PReg(1) };
+    for op in pir::BinOp::ALL {
+        let text = vec![
+            Op::Movi {
+                dst: PReg(0),
+                imm: a,
+            },
+            Op::Movi {
+                dst: PReg(1),
+                imm: b,
+            },
+            Op::Alu {
+                op,
+                dst: PReg(2),
+                a: PReg(0),
+                b: rb,
+            },
+            Op::AluImm {
+                op,
+                dst: PReg(3),
+                a: PReg(0),
+                imm: b,
+            },
+            Op::Store {
+                base: PReg(4),
+                offset: 0,
+                src: PReg(2),
+            },
+            Op::Store {
+                base: PReg(4),
+                offset: 8,
+                src: PReg(3),
+            },
+            Op::Halt,
+        ];
+        for fallback in [false, true] {
+            let cfg = MachineConfig::small();
+            let mut mem = MemorySystem::new(&cfg);
+            let mut counters = PerfCounters::default();
+            let mut ctx = ExecContext::new(0, 1, 0);
+            let mut data = vec![0u8; 64];
+            let mut blocks = machine::BlockCache::new();
+            blocks.set_fallback(fallback);
+            let mut env = ExecEnv {
+                text: &text,
+                text_gen: 0,
+                blocks: &mut blocks,
+                data: &mut data,
+                mem: &mut mem,
+                core: 0,
+                counters: &mut counters,
+                costs: CostModel::default(),
+            };
+            let res = machine::exec::run(&mut ctx, &mut env, 1_000_000);
+            assert_eq!(res.stop, machine::StopReason::Halted);
+            let word =
+                |at: usize| i64::from_le_bytes(data[at..at + 8].try_into().expect("8 bytes"));
+            let want = op.eval(a, b);
+            assert_eq!(
+                word(0),
+                want,
+                "{op:?}({a}, {b}) register form, fallback {fallback}"
+            );
+            assert_eq!(
+                word(8),
+                want,
+                "{op:?}({a}, {b}) immediate form, fallback {fallback}"
+            );
+        }
+    }
+}
+
+#[test]
+fn every_operator_matches_eval_on_every_edge_pair() {
+    // Every ordered pair of edge operands, so `i64::MIN` with -1, each
+    // shift count and the zero divisor are always covered; the diagonal
+    // also reads both operands from one register.
+    for a in EDGE_OPERANDS {
+        for b in EDGE_OPERANDS {
+            assert_operators_match_eval(a, b, false);
+        }
+        assert_operators_match_eval(a, a, true);
+    }
 }
 
 proptest! {
@@ -518,6 +623,22 @@ proptest! {
             (trail, counters, data)
         };
         prop_assert_eq!(run_mode(false), run_mode(true));
+    }
+
+    #[test]
+    fn every_operator_matches_eval_in_both_forms(
+        a in arb_operand(),
+        b in arb_operand(),
+        equal in any::<bool>(),
+    ) {
+        // Random operands mixed with edge ones; half the cases have
+        // `a == b` (read from one register), where `Le`/`Lt`,
+        // `Ge`/`Gt` and `Eq`/`Ne` differ.
+        if equal {
+            assert_operators_match_eval(a, a, true);
+        } else {
+            assert_operators_match_eval(a, b, false);
+        }
     }
 
     #[test]
