@@ -94,9 +94,6 @@ fn ablate_edge_policy(secs: f64) {
         let opts = Options {
             protean: true,
             edge_policy: policy,
-            embed_ir: true,
-            optimize: false,
-            ..Options::protean()
         };
         let protean = Compiler::new(opts).compile(&m).unwrap().image;
         let slowdown = base_ips / ips_of(&protean, secs, &cfg);

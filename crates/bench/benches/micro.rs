@@ -1,9 +1,8 @@
 //! Criterion micro-benchmarks for the substrate itself: cache-simulator
 //! throughput, interpreter speed, runtime-compiler latency, EVT patch
-//! latency, verifier/lint/dataflow/abstract-interpretation throughput,
-//! equivalence
-//! checker throughput (proved fast path vs refuted slow path), and IR
-//! codec/compressor throughput.
+//! latency, verifier/dataflow/abstract-interpretation throughput,
+//! equivalence checker throughput (proved fast path vs refuted slow path),
+//! and IR codec/compressor throughput.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 
@@ -252,9 +251,6 @@ fn bench_analysis(c: &mut Criterion) {
     group.bench_function("verify_soplex", |b| {
         b.iter(|| std::hint::black_box(pir::verify::verify_module(&m).is_ok()))
     });
-    group.bench_function("lint_soplex", |b| {
-        b.iter(|| std::hint::black_box(pir::lint::lint_module(&m).error_count()))
-    });
     group.finish();
     let hot = m
         .functions()
@@ -267,10 +263,6 @@ fn bench_analysis(c: &mut Criterion) {
     group.bench_function("liveness_hot_fn", |b| {
         let liveness = pir::dataflow::Liveness::new(hot);
         b.iter(|| std::hint::black_box(liveness.solve(&cfg).ins.len()))
-    });
-    group.bench_function("reaching_defs_hot_fn", |b| {
-        let rd = pir::dataflow::ReachingDefs::new(hot);
-        b.iter(|| std::hint::black_box(rd.solve(&cfg).ins.len()))
     });
     group.bench_function("dominators_hot_fn", |b| {
         b.iter(|| std::hint::black_box(pir::dataflow::Dominators::compute(&cfg)))

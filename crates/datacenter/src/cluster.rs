@@ -160,11 +160,6 @@ impl SliceJob {
         }
         self.server
     }
-
-    /// The server id, for labeling.
-    pub fn server_id(&self) -> usize {
-        self.server.id()
-    }
 }
 
 /// An executor for a batch of independent slice jobs: one epoch

@@ -124,11 +124,6 @@ impl<T> EventQueue<T> {
         seq
     }
 
-    /// Timestamp of the next event, if any.
-    pub fn peek_time(&self) -> Option<Cycles> {
-        self.heap.peek().map(|e| e.time)
-    }
-
     /// Pops the earliest event and advances the clock to its timestamp,
     /// skipping the idle gap in between.
     pub fn pop(&mut self) -> Option<Event<T>> {

@@ -46,15 +46,15 @@ pub struct EmbeddedMeta {
     pub link: LinkInfo,
     /// OSR-point certificates for every certified loop header
     /// ([`pir::absint::certify_module`] output, certificates only). The
-    /// future OSR runtime (ROADMAP item 3) reads these to decide where a
-    /// running frame may migrate into a variant. Empty when the module was
+    /// runtime's OSR controller reads these to decide where a running
+    /// frame may migrate into a variant. Empty when the module was
     /// compiled without protean support or by an older `pcc`.
     pub osr: Vec<OsrCertificate>,
     /// Proved OSR transfer recipes ([`pir::prove_osr_transfer`] output),
     /// one per certificate whose transfer the prover could close,
-    /// derived against the module itself (identity remap). The safety
-    /// gate revalidates them per variant; the runtime half of ROADMAP
-    /// item 3 consumes them verbatim. Empty for pre-transfer blobs.
+    /// derived against the module itself (identity remap). The runtime's
+    /// OSR controller revalidates them per variant on its first arm and
+    /// applies the proved ones verbatim. Empty for pre-transfer blobs.
     pub osr_recipes: Vec<TransferRecipe>,
 }
 

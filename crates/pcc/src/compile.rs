@@ -16,28 +16,11 @@ use crate::virtualize::EdgePolicy;
 /// Compilation options.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Options {
-    /// Produce a protean binary: virtualize edges and embed metadata.
+    /// Produce a protean binary: virtualize edges and embed the compressed
+    /// IR + link annex the runtime attaches to.
     pub protean: bool,
     /// Edge-selection policy (ignored when `protean` is false).
     pub edge_policy: EdgePolicy,
-    /// Embed the compressed IR + link annex (ignored when `protean` is
-    /// false; protean binaries normally embed it).
-    pub embed_ir: bool,
-    /// Run the scalar optimization pipeline (fold/propagate/DCE/compact)
-    /// before lowering. The embedded IR is the optimized module, so the
-    /// runtime compiler starts from what actually runs.
-    pub optimize: bool,
-    /// Re-run the verifier and the definite-assignment analysis after
-    /// every transformation stage, failing the compile with
-    /// [`CompileError::InvariantViolation`] naming the stage that broke
-    /// the module. Defaults to on in debug builds, off in release.
-    pub check_invariants: bool,
-    /// Translation validation: prove every optimization stage's output
-    /// observationally equivalent to its input with [`pir::equiv`],
-    /// failing the compile with [`CompileError::TranslationRefuted`]
-    /// naming the offending stage. Stronger (and costlier) than
-    /// `check_invariants`; off by default.
-    pub validate_translations: bool,
 }
 
 impl Options {
@@ -46,10 +29,6 @@ impl Options {
         Options {
             protean: false,
             edge_policy: EdgePolicy::Never,
-            embed_ir: false,
-            optimize: false,
-            check_invariants: cfg!(debug_assertions),
-            validate_translations: false,
         }
     }
 
@@ -58,31 +37,7 @@ impl Options {
         Options {
             protean: true,
             edge_policy: EdgePolicy::default(),
-            embed_ir: true,
-            optimize: false,
-            check_invariants: cfg!(debug_assertions),
-            validate_translations: false,
         }
-    }
-
-    /// Enables the scalar optimization pipeline.
-    pub fn with_optimization(mut self) -> Self {
-        self.optimize = true;
-        self
-    }
-
-    /// Enables (or disables) inter-stage invariant checking regardless of
-    /// build profile.
-    pub fn with_invariant_checks(mut self, on: bool) -> Self {
-        self.check_invariants = on;
-        self
-    }
-
-    /// Enables (or disables) per-stage translation validation with
-    /// [`pir::equiv`].
-    pub fn with_translation_validation(mut self, on: bool) -> Self {
-        self.validate_translations = on;
-        self
     }
 }
 
@@ -197,25 +152,12 @@ impl Compiler {
     ///
     /// # Errors
     ///
-    /// Returns [`CompileError::Verify`] if the module is malformed.
+    /// Returns [`CompileError::Verify`] if the module is malformed. Debug
+    /// builds re-derive the embedded OSR certificates and transfer recipes
+    /// and return [`CompileError::InvariantViolation`] if they disagree.
     pub fn compile(&self, module: &Module) -> Result<Output, CompileError> {
         verify_module(module)?;
         let opts = self.options;
-        let optimized;
-        let module = if opts.optimize {
-            let mut m = module.clone();
-            if opts.validate_translations {
-                crate::opt::optimize_module_validated(&mut m)?;
-            } else if opts.check_invariants {
-                crate::opt::optimize_module_checked(&mut m)?;
-            } else {
-                crate::opt::optimize_module(&mut m);
-            }
-            optimized = m;
-            &optimized
-        } else {
-            module
-        };
 
         // 1. Edge virtualization: one EVT slot per virtualized callee.
         let func_evt_slot = if opts.protean {
@@ -244,9 +186,9 @@ impl Compiler {
             global_addrs: prelim.global_addrs.clone(),
             evt_base: prelim.evt_base,
         };
-        let (blob, meta) = if opts.protean && opts.embed_ir {
-            // Certified OSR anchors ride along with the IR so the future
-            // OSR runtime (ROADMAP item 3) never re-derives them online.
+        let (blob, meta) = if opts.protean {
+            // Certified OSR anchors ride along with the IR so the runtime's
+            // OSR controller never re-derives them online.
             let osr: Vec<pir::OsrCertificate> = pir::absint::certify_module(module)
                 .into_iter()
                 .filter_map(|d| d.certificate().cloned())
@@ -271,7 +213,7 @@ impl Compiler {
         } else {
             (Vec::new(), None)
         };
-        if opts.check_invariants {
+        if cfg!(debug_assertions) {
             if let Some(meta) = &meta {
                 crate::invariants::check_osr_certificates(module, &meta.osr, "osr-certify")?;
                 crate::invariants::check_osr_transfer(
@@ -390,115 +332,6 @@ pub fn compile_function_variant(
         virtualize: true,
     };
     lower_function(&variant, &ctx, base)
-}
-
-/// True when the two bodies are syntactically identical except for load
-/// locality bits — exactly the shape a correct NT transform produces.
-fn identical_modulo_locality(baseline: &pir::Function, variant: &pir::Function) -> bool {
-    use pir::Inst;
-    baseline.params() == variant.params()
-        && baseline.block_count() == variant.block_count()
-        && baseline
-            .blocks()
-            .iter()
-            .zip(variant.blocks())
-            .all(|(b, v)| {
-                b.term == v.term
-                    && b.insts.len() == v.insts.len()
-                    && b.insts.iter().zip(&v.insts).all(|(bi, vi)| match (bi, vi) {
-                        (
-                            Inst::Load {
-                                dst: da,
-                                base: ba,
-                                offset: oa,
-                                ..
-                            },
-                            Inst::Load {
-                                dst: db,
-                                base: bb,
-                                offset: ob,
-                                ..
-                            },
-                        ) => da == db && ba == bb && oa == ob,
-                        _ => bi == vi,
-                    })
-            })
-}
-
-/// [`compile_function_variant`] with the inter-stage invariants checked
-/// and the NT transformation translation-validated before lowering. The
-/// NT rewrite is shape-preserving, so a variant that is syntactically
-/// identical to the baseline modulo load-locality bits is accepted
-/// outright; anything else must be equiv-proved against the baseline
-/// (any number of NT flips is fine — that is the transformation).
-///
-/// # Errors
-///
-/// Returns [`CompileError::InvariantViolation`] (stage `"nt-transform"`)
-/// if the transformed function no longer verifies or reads an unassigned
-/// register, [`CompileError::TranslationRefuted`] if the prover produced
-/// a concrete counterexample, and [`CompileError::TranslationUnproved`]
-/// if equivalence could be neither proved nor refuted (the checked path
-/// requires provability).
-pub fn compile_function_variant_checked(
-    module: &Module,
-    fid: FuncId,
-    nt: &NtAssignment,
-    link: &LinkInfo,
-    base: u32,
-) -> Result<Vec<Op>, CompileError> {
-    let variant = nt.apply_to(module.function(fid), fid);
-    let arities: Vec<u32> = module.functions().iter().map(|f| f.params()).collect();
-    let globals = module.globals().len() as u32;
-    if let Err(report) = pir::verify::verify_function_in(&variant, &arities, globals) {
-        return Err(CompileError::InvariantViolation {
-            stage: "nt-transform",
-            detail: report.to_string(),
-        });
-    }
-    // Baseline the assignment check on the original function: the NT
-    // rewrite must not introduce undefined reads, but a workload that
-    // legally reads zero-initialized registers stays compilable.
-    let clean = pir::dataflow::maybe_undef_uses(module.function(fid)).is_empty();
-    if clean {
-        crate::invariants::InvariantChecker::strict().check_function(&variant, "nt-transform")?;
-    }
-    // Translation validation, cheapest tier first: a locality-only delta
-    // is legal by definition; only an unexpected shape change (a buggy
-    // NtAssignment::apply_to) invokes the prover.
-    if !identical_modulo_locality(module.function(fid), &variant) {
-        let mut vmod = module.clone();
-        vmod.functions_mut()[fid.index()] = variant.clone();
-        let verdict =
-            pir::equiv::check_function_in(module, &vmod, fid, &pir::equiv::EquivOptions::default());
-        let wrap = |verdict| {
-            pir::equiv::EquivReport::from_results(vec![(
-                module.function(fid).name().to_string(),
-                verdict,
-            )])
-        };
-        match verdict {
-            pir::equiv::Verdict::Proved { .. } => {}
-            v @ pir::equiv::Verdict::Refuted(_) => {
-                return Err(CompileError::TranslationRefuted {
-                    stage: "nt-transform",
-                    report: wrap(v),
-                });
-            }
-            v @ pir::equiv::Verdict::Unknown { .. } => {
-                return Err(CompileError::TranslationUnproved {
-                    stage: "nt-transform",
-                    report: wrap(v),
-                });
-            }
-        }
-    }
-    let ctx = LowerCtx {
-        module,
-        link,
-        virtualize: true,
-    };
-    Ok(lower_function(&variant, &ctx, base))
 }
 
 #[cfg(test)]

@@ -1,15 +1,16 @@
 //! Inter-stage invariant checking for the compilation pipeline.
 //!
-//! Every transformation in the protean toolchain — scalar optimization,
-//! inlining, the NT-hint rewrite — must hand the next stage a module that
-//! still verifies, and must not introduce reads of unassigned registers
-//! into a module that had none. Bugs here are the worst kind: they
-//! surface later as silently-wrong generated code. When enabled (default
-//! in debug builds, opt-in through
-//! [`Options::check_invariants`](crate::Options)), the pass manager
-//! re-runs the [`pir::verify`] structural checks plus the
-//! definite-assignment analysis after **every** stage and reports the
-//! first stage that broke the module, by name.
+//! A transformation stage must hand the next stage a module that still
+//! verifies, and must not introduce reads of unassigned registers into a
+//! module that had none. Bugs here are the worst kind: they surface later
+//! as silently-wrong generated code.
+//! [`optimize_module_validated`](crate::optimize_module_validated) re-runs
+//! the [`pir::verify`] structural checks plus the definite-assignment
+//! analysis after **every** scalar stage and reports the first stage that
+//! broke the module, by name. Debug builds of
+//! [`Compiler::compile`](crate::Compiler::compile) also re-derive the
+//! embedded OSR certificates and transfer recipes
+//! ([`check_osr_certificates`], [`check_osr_transfer`]).
 //!
 //! The definite-assignment half is *baseline-aware*: PIR registers read
 //! as zero before their first write, so a workload may legally read an
@@ -46,11 +47,6 @@ impl InvariantChecker {
         }
     }
 
-    /// A checker that enforces both invariants unconditionally.
-    pub fn strict() -> Self {
-        InvariantChecker { check_undef: true }
-    }
-
     /// Checks the invariants on `module`, attributing any violation to
     /// `stage` (a short pass name like `"fold-constants"`).
     ///
@@ -74,20 +70,6 @@ impl InvariantChecker {
         }
         Ok(())
     }
-
-    /// Checks one function (same invariants, function granularity) — used
-    /// by the runtime compiler on NT-transformed variants, where the rest
-    /// of the module is unchanged.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CompileError::InvariantViolation`] naming the stage.
-    pub fn check_function(&self, func: &Function, stage: &'static str) -> Result<(), CompileError> {
-        if self.check_undef {
-            check_function_assigned(func, stage)?;
-        }
-        Ok(())
-    }
 }
 
 fn check_function_assigned(func: &Function, stage: &'static str) -> Result<(), CompileError> {
@@ -108,20 +90,11 @@ fn check_function_assigned(func: &Function, stage: &'static str) -> Result<(), C
     Ok(())
 }
 
-/// One-shot convenience: checks `module` with a strict checker.
-///
-/// # Errors
-///
-/// Returns [`CompileError::InvariantViolation`] naming the stage.
-pub fn check_module(module: &Module, stage: &'static str) -> Result<(), CompileError> {
-    InvariantChecker::strict().check(module, stage)
-}
-
 /// Checks that embedded OSR certificates are exactly the ones
 /// [`pir::absint::certify_module`] derives for `module`. The analysis is
 /// deterministic, so any mismatch means the metadata is stale or
-/// fabricated — and a stale anchor would let the future OSR runtime
-/// migrate a frame on a wrong live-state map.
+/// fabricated — and a stale anchor would let the OSR runtime migrate a
+/// frame on a wrong live-state map.
 ///
 /// # Errors
 ///
@@ -199,9 +172,14 @@ mod tests {
         m
     }
 
+    /// A checker baselined on a clean module: both invariants enforced.
+    fn clean_checker() -> InvariantChecker {
+        InvariantChecker::for_module(&ok_module())
+    }
+
     #[test]
     fn clean_module_passes() {
-        assert!(check_module(&ok_module(), "noop").is_ok());
+        assert!(clean_checker().check(&ok_module(), "noop").is_ok());
     }
 
     #[test]
@@ -209,7 +187,7 @@ mod tests {
         let mut m = ok_module();
         // Corrupt: point the terminator at a nonexistent block.
         m.functions_mut()[0].blocks_mut()[0].term = Term::Br(BlockId(9));
-        let err = check_module(&m, "fold-constants").unwrap_err();
+        let err = clean_checker().check(&m, "fold-constants").unwrap_err();
         let CompileError::InvariantViolation { stage, detail } = err else {
             panic!("expected InvariantViolation");
         };
@@ -233,8 +211,10 @@ mod tests {
     }
 
     #[test]
-    fn undef_read_is_reported_by_strict_checker() {
-        let err = check_module(&undef_read_module(), "dce").unwrap_err();
+    fn undef_read_after_a_clean_baseline_is_reported() {
+        let err = clean_checker()
+            .check(&undef_read_module(), "dce")
+            .unwrap_err();
         assert!(err.to_string().contains("r3"), "{err}");
     }
 

@@ -39,7 +39,6 @@
 
 pub mod annex;
 pub mod compile;
-pub mod inline;
 pub mod invariants;
 pub mod layout;
 pub mod lower;
@@ -48,15 +47,8 @@ pub mod opt;
 pub mod virtualize;
 
 pub use annex::{EmbeddedMeta, LinkInfo};
-pub use compile::{
-    compile_function_variant, compile_function_variant_checked, CompileError, Compiler, Options,
-    Output,
-};
-pub use inline::{inline_module, inline_module_checked, InlineConfig, InlineStats};
+pub use compile::{compile_function_variant, CompileError, Compiler, Options, Output};
 pub use lower::{block_offsets, lowered_size};
 pub use nt::NtAssignment;
-pub use opt::{
-    optimize_function, optimize_module, optimize_module_checked, optimize_module_validated,
-    OptStats,
-};
+pub use opt::{optimize_function, optimize_module, optimize_module_validated, OptStats};
 pub use virtualize::EdgePolicy;

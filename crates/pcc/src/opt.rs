@@ -405,53 +405,14 @@ pub fn optimize_module(module: &mut Module) -> OptStats {
 }
 
 /// [`optimize_module`] run stage by stage across the whole module, with
-/// the pass-manager invariants (verify + definite assignment) re-checked
-/// after **every** stage: each of fold/propagate/DCE per round, then
-/// register compaction. The first stage to break the module fails the
-/// run with its name attached.
-///
-/// # Errors
-///
-/// Returns [`CompileError::InvariantViolation`](crate::CompileError)
-/// naming the offending stage.
-pub fn optimize_module_checked(module: &mut Module) -> Result<OptStats, crate::CompileError> {
-    // A named per-function rewrite stage.
-    type Stage = (&'static str, fn(&mut Function) -> OptStats);
-    let checker = crate::invariants::InvariantChecker::for_module(module);
-    let stages: [Stage; 3] = [
-        ("fold-constants", fold_constants),
-        ("propagate-copies", propagate_copies),
-        ("eliminate-dead-code", eliminate_dead_code),
-    ];
-    let mut total = OptStats::default();
-    for _ in 0..8 {
-        let mut round = OptStats::default();
-        for (name, stage) in stages {
-            for func in module.functions_mut() {
-                round.merge(stage(func));
-            }
-            checker.check(module, name)?;
-        }
-        let changed = round.changed();
-        total.merge(round);
-        if !changed {
-            break;
-        }
-    }
-    for func in module.functions_mut() {
-        total.merge(compact_registers(func));
-    }
-    checker.check(module, "compact-registers")?;
-    Ok(total)
-}
-
-/// [`optimize_module_checked`] plus per-stage translation validation: the
-/// module is snapshotted before each stage, and after the stage (and its
-/// invariant check) [`pir::equiv::check_module`] must *prove* the new
-/// module observationally equivalent to the snapshot. The scalar pipeline
-/// never touches loads at all — DCE deliberately keeps them for their
-/// cache effects — so the proof must report *countably zero* NT flips:
-/// `Some(0)`, with `None` (load structure changed) failing validation.
+/// every stage checked twice: after each of fold/propagate/DCE per round,
+/// and after register compaction, the pass-manager invariants (verify +
+/// definite assignment) are re-checked, and [`pir::equiv::check_module`]
+/// must *prove* the new module observationally equivalent to a snapshot
+/// taken before the stage. The scalar pipeline never touches loads at all
+/// — DCE deliberately keeps them for their cache effects — so the proof
+/// must report *countably zero* NT flips: `Some(0)`, with `None` (load
+/// structure changed) failing validation.
 ///
 /// # Errors
 ///

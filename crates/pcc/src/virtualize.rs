@@ -25,8 +25,6 @@ pub enum EdgePolicy {
     /// basic block.
     #[default]
     MultiBlockCallees,
-    /// Virtualize calls whose callee has at least `n` basic blocks.
-    MinCalleeBlocks(u32),
 }
 
 impl EdgePolicy {
@@ -36,7 +34,6 @@ impl EdgePolicy {
             EdgePolicy::Never => false,
             EdgePolicy::AllCalls => true,
             EdgePolicy::MultiBlockCallees => module.function(callee).block_count() > 1,
-            EdgePolicy::MinCalleeBlocks(n) => module.function(callee).block_count() >= n as usize,
         }
     }
 
@@ -134,15 +131,6 @@ mod tests {
             .assign_slots(&m)
             .iter()
             .all(Option::is_none));
-    }
-
-    #[test]
-    fn min_blocks_threshold() {
-        let m = module();
-        assert!(EdgePolicy::MinCalleeBlocks(1).virtualizes(&m, FuncId(0)));
-        assert!(!EdgePolicy::MinCalleeBlocks(2).virtualizes(&m, FuncId(0)));
-        assert!(EdgePolicy::MinCalleeBlocks(4).virtualizes(&m, FuncId(1)));
-        assert!(!EdgePolicy::MinCalleeBlocks(5).virtualizes(&m, FuncId(1)));
     }
 
     #[test]

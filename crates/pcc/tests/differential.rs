@@ -156,14 +156,15 @@ proptest! {
         optimize in any::<bool>(),
     ) {
         let m = build(&body, false);
+        let mut compiled = m.clone();
+        if optimize {
+            pcc::optimize_module(&mut compiled);
+        }
         let opts = Options {
             protean,
             edge_policy: pcc::EdgePolicy::MultiBlockCallees,
-            embed_ir: protean,
-            optimize,
-            ..Options::protean()
         };
-        let (machine_data, addrs) = run_compiled(&m, opts);
+        let (machine_data, addrs) = run_compiled(&compiled, opts);
         let interp = pir::interp::run(&m, &addrs, machine_data.len(), 50_000_000)
             .expect("interpret");
         let out_addr = addrs[1] as usize;

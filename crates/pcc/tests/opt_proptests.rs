@@ -90,6 +90,13 @@ fn build_module(body: &[Inst], with_mem: bool) -> Module {
     m
 }
 
+/// `m` after the scalar optimization pipeline.
+fn optimized(m: &Module) -> Module {
+    let mut m = m.clone();
+    pcc::optimize_module(&mut m);
+    m
+}
+
 /// Compiles and runs a module to completion, returning the checksum.
 fn run(m: &Module, opts: Options) -> i64 {
     let img = Compiler::new(opts).compile(m).expect("compile").image;
@@ -126,15 +133,21 @@ proptest! {
     fn optimization_preserves_results(body in arb_body(), with_mem in any::<bool>()) {
         let m = build_module(&body, with_mem);
         let baseline = run(&m, Options::plain());
-        let optimized = run(&m, Options::plain().with_optimization());
+        let optimized = run(&optimized(&m), Options::plain());
         prop_assert_eq!(baseline, optimized, "optimization changed program semantics");
     }
 
     #[test]
     fn optimized_modules_stay_valid(body in arb_body()) {
-        let mut m = build_module(&body, true);
-        pcc::optimize_module(&mut m);
-        prop_assert!(pir::verify::verify_module(&m).is_ok());
+        let m = build_module(&body, true);
+        let opt = optimized(&m);
+        prop_assert!(pir::verify::verify_module(&opt).is_ok());
+        // The stage-by-stage pipeline re-checks the invariants and proves
+        // every stage, and must end at the same module.
+        let mut validated = m.clone();
+        let res = pcc::optimize_module_validated(&mut validated);
+        prop_assert!(res.is_ok(), "{:?}", res.err());
+        prop_assert_eq!(validated, opt);
     }
 
     #[test]
@@ -154,9 +167,11 @@ proptest! {
     ) {
         let policy = [EdgePolicy::Never, EdgePolicy::MultiBlockCallees, EdgePolicy::AllCalls]
             [policy_idx];
-        let m = build_module(&body, true);
-        let opts =
-            Options { protean, edge_policy: policy, embed_ir: protean, optimize, ..Options::protean() };
+        let mut m = build_module(&body, true);
+        if optimize {
+            m = optimized(&m);
+        }
+        let opts = Options { protean, edge_policy: policy };
         let img = Compiler::new(opts).compile(&m).expect("compile").image;
         prop_assert_eq!(img.validate(), Ok(()));
     }
@@ -165,8 +180,8 @@ proptest! {
     fn optimization_never_grows_code(body in arb_body()) {
         let m = build_module(&body, true);
         let before = Compiler::new(Options::plain()).compile(&m).unwrap().image.text_len();
-        let after = Compiler::new(Options::plain().with_optimization())
-            .compile(&m)
+        let after = Compiler::new(Options::plain())
+            .compile(&optimized(&m))
             .unwrap()
             .image
             .text_len();

@@ -29,12 +29,11 @@
 //! * [`certify_function`] / [`certify_module`] decide, per loop header,
 //!   whether the live state at the back edge is reconstructible in a
 //!   recompiled variant, and emit an [`OsrCertificate`] or a typed
-//!   [`OsrRefusal`]. `pcc` embeds the certificates in compiled output
-//!   (the contract ROADMAP item 3's OSR runtime consumes).
+//!   [`OsrRefusal`]. `pcc` embeds the certificates in compiled output,
+//!   and the protean runtime's OSR controller reads them from there.
 //! * [`crate::equiv`] seeds bisimulation cut symbols with interval facts
 //!   and uses global-offset ranges to prove address disjointness.
-//! * [`crate::lint`] uses block reachability plus effect facts to flag
-//!   likely-divergent loops; [`crate::print`] renders the annotations.
+//! * [`crate::print`] renders the annotations.
 //!
 //! Results are memoized per function in a process-wide cache
 //! ([`analyze_function_cached`]), keyed on the function body alone
@@ -1017,8 +1016,8 @@ pub struct OsrLiveSlot {
 /// Proof that a loop header is a safe on-stack-replacement anchor: the
 /// live state at the back edge is enumerated, bounded, and every live
 /// value has known provenance, so a recompiled variant can adopt the
-/// frame mid-loop. This schema is the contract ROADMAP item 3's OSR
-/// runtime builds on (see DESIGN.md §11).
+/// frame mid-loop. This schema is the contract the protean runtime's OSR
+/// controller builds on (see DESIGN.md §11).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct OsrCertificate {
     /// Function containing the loop.
@@ -1032,7 +1031,7 @@ pub struct OsrCertificate {
 }
 
 /// Why a loop header was *not* certified. Every refusal is typed so the
-/// runtime (and the lint layer) can report it without string matching.
+/// runtime can report it without string matching.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum OsrRefusal {
     /// The function's control flow is irreducible; natural-loop live

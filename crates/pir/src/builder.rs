@@ -81,11 +81,6 @@ impl FunctionBuilder {
         Reg(i)
     }
 
-    /// The block currently receiving instructions.
-    pub fn current_block(&self) -> BlockId {
-        BlockId(self.cur as u32)
-    }
-
     /// Appends a raw instruction to the current block.
     pub fn push(&mut self, inst: Inst) {
         assert!(
@@ -101,11 +96,6 @@ impl FunctionBuilder {
         let dst = self.fresh();
         self.push(Inst::Const { dst, value });
         dst
-    }
-
-    /// Writes a constant into an existing register.
-    pub fn const_into(&mut self, dst: Reg, value: i64) {
-        self.push(Inst::Const { dst, value });
     }
 
     /// `fresh = lhs <op> rhs`.

@@ -1,16 +1,16 @@
 //! Control-flow graph and iterative dataflow analysis.
 //!
 //! The protean compiler and runtime both need cheap, flow-sensitive facts
-//! about PIR functions: which blocks are reachable, which definitions reach
-//! a use, which registers are live, and which reads can observe a register
-//! that was never written (PIR registers read as zero until first written,
-//! so this is a lint rather than undefined behaviour). This module provides
+//! about PIR functions: which blocks are reachable, which registers are
+//! live, and which reads can observe a register that was never written
+//! (PIR registers read as zero until first written, so such a read is
+//! legal, if suspicious). This module provides
 //!
 //! * [`Cfg`] — successor/predecessor lists plus reverse postorder,
 //! * [`Dominators`] — Cooper–Harvey–Kennedy immediate dominators,
 //! * a generic worklist engine ([`solve`]) over bit-vector lattices,
-//! * three ready-made instances: [`ReachingDefs`], [`Liveness`], and the
-//!   definite-assignment walk [`maybe_undef_uses`].
+//! * two ready-made instances: backward, union [`Liveness`], and the
+//!   forward, intersecting definite-assignment walk [`maybe_undef_uses`].
 //!
 //! The engine is deliberately small: analyses describe themselves as a
 //! domain size, a direction, a confluence operator, and per-block gen/kill
@@ -363,7 +363,8 @@ impl BitSet {
 /// Direction a dataflow analysis propagates facts.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Direction {
-    /// Facts flow from predecessors to successors (e.g. reaching defs).
+    /// Facts flow from predecessors to successors (e.g. definite
+    /// assignment).
     Forward,
     /// Facts flow from successors to predecessors (e.g. liveness).
     Backward,
@@ -504,134 +505,6 @@ pub fn solve(cfg: &Cfg, analysis: &impl Analysis) -> Solution {
 }
 
 // ---------------------------------------------------------------------------
-// Reaching definitions
-// ---------------------------------------------------------------------------
-
-/// One definition site: instruction `inst` of `block` writes `reg`.
-/// Function parameters appear as pseudo-definitions with
-/// `block == BlockId(0)` and `inst == usize::MAX`.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct DefSite {
-    /// Block containing the definition.
-    pub block: BlockId,
-    /// Instruction index within the block (`usize::MAX` for parameters).
-    pub inst: usize,
-    /// The register written.
-    pub reg: Reg,
-}
-
-/// Classic reaching-definitions analysis: which definition sites may reach
-/// each block boundary.
-pub struct ReachingDefs {
-    sites: Vec<DefSite>,
-    /// gen/kill per block, precomputed.
-    gen: Vec<BitSet>,
-    kill: Vec<BitSet>,
-    params: u32,
-}
-
-impl ReachingDefs {
-    /// Enumerates definition sites of `func` and precomputes block
-    /// transfer functions.
-    pub fn new(func: &Function) -> ReachingDefs {
-        let mut sites = Vec::new();
-        for p in 0..func.params() {
-            sites.push(DefSite {
-                block: BlockId(0),
-                inst: usize::MAX,
-                reg: Reg(p),
-            });
-        }
-        for (bi, block) in func.blocks().iter().enumerate() {
-            for (ii, inst) in block.insts.iter().enumerate() {
-                if let Some(dst) = inst.dst() {
-                    sites.push(DefSite {
-                        block: BlockId(bi as u32),
-                        inst: ii,
-                        reg: dst,
-                    });
-                }
-            }
-        }
-        // sites_of_reg[r] = bit indices defining register r.
-        let max_reg = sites.iter().map(|s| s.reg.index() + 1).max().unwrap_or(0);
-        let mut sites_of_reg: Vec<Vec<usize>> = vec![Vec::new(); max_reg];
-        for (i, s) in sites.iter().enumerate() {
-            sites_of_reg[s.reg.index()].push(i);
-        }
-        let n = func.block_count();
-        let mut gen = vec![BitSet::new(sites.len()); n];
-        let mut kill = vec![BitSet::new(sites.len()); n];
-        for (i, s) in sites.iter().enumerate() {
-            if s.inst == usize::MAX {
-                continue; // parameters live in the boundary set, not gen.
-            }
-            let b = s.block.index();
-            // A later def of the same register in the same block shadows
-            // this one; only the last def per (block, reg) survives in gen.
-            let last = sites_of_reg[s.reg.index()]
-                .iter()
-                .copied()
-                .filter(|&j| sites[j].block == s.block && sites[j].inst != usize::MAX)
-                .max_by_key(|&j| sites[j].inst);
-            if last == Some(i) {
-                gen[b].insert(i);
-            }
-            for &j in &sites_of_reg[s.reg.index()] {
-                if j != i {
-                    kill[b].insert(j);
-                }
-            }
-        }
-        ReachingDefs {
-            sites,
-            gen,
-            kill,
-            params: func.params(),
-        }
-    }
-
-    /// All definition sites, in bit order.
-    pub fn sites(&self) -> &[DefSite] {
-        &self.sites
-    }
-
-    /// Solves the analysis over `cfg` (which must belong to the same
-    /// function).
-    pub fn solve(&self, cfg: &Cfg) -> Solution {
-        solve(cfg, self)
-    }
-}
-
-impl Analysis for ReachingDefs {
-    fn domain_size(&self) -> usize {
-        self.sites.len()
-    }
-
-    fn direction(&self) -> Direction {
-        Direction::Forward
-    }
-
-    fn confluence(&self) -> Confluence {
-        Confluence::Union
-    }
-
-    fn boundary(&self) -> BitSet {
-        // Parameters reach the entry.
-        let mut s = BitSet::new(self.sites.len());
-        for i in 0..self.params as usize {
-            s.insert(i);
-        }
-        s
-    }
-
-    fn transfer(&self, block: BlockId, fact: &mut BitSet) {
-        fact.subtract(&self.kill[block.index()]);
-        fact.union_with(&self.gen[block.index()]);
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Liveness
 // ---------------------------------------------------------------------------
 
@@ -762,16 +635,11 @@ impl Analysis for DefiniteAssign {
 ///
 /// PIR registers read as zero until first written, so such a read is legal
 /// — but it almost always indicates a builder bug or a corrupted
-/// transformation, which is why the lint layer reports it as an error.
-/// Only reachable blocks are scanned.
+/// transformation, which is why the compiler's invariant checks and the
+/// safety gate refuse a transformation that introduces one. Only reachable
+/// blocks are scanned.
 pub fn maybe_undef_uses(func: &Function) -> Vec<UndefUse> {
     let cfg = Cfg::new(func);
-    maybe_undef_uses_in(func, &cfg)
-}
-
-/// [`maybe_undef_uses`] with a caller-supplied CFG (avoids rebuilding it
-/// when the caller already has one).
-pub fn maybe_undef_uses_in(func: &Function, cfg: &Cfg) -> Vec<UndefUse> {
     let regs = crate::MAX_REGS as usize;
     let n = func.block_count();
     let mut defs = vec![BitSet::new(regs); n];
@@ -787,7 +655,7 @@ pub fn maybe_undef_uses_in(func: &Function, cfg: &Cfg) -> Vec<UndefUse> {
         params: func.params(),
         defs,
     };
-    let solution = solve(cfg, &analysis);
+    let solution = solve(&cfg, &analysis);
 
     let mut out = Vec::new();
     for (bi, block) in func.blocks().iter().enumerate() {
@@ -901,22 +769,6 @@ mod tests {
         assert_eq!(t.count(), 130);
         t.subtract(&s);
         assert!(!t.contains(0) && !t.contains(129) && t.contains(64));
-    }
-
-    #[test]
-    fn reaching_defs_through_diamond() {
-        let f = diamond();
-        let cfg = Cfg::new(&f);
-        let rd = ReachingDefs::new(&f);
-        let sol = rd.solve(&cfg);
-        // Sites: param r0 (bit 0), bb1 const r1 (bit 1), bb3 add r2 (bit 2).
-        assert_eq!(rd.sites().len(), 3);
-        // Into bb3 both the param def and the bb1 const may reach.
-        let in3 = &sol.ins[3];
-        assert!(in3.contains(0), "param def reaches join");
-        assert!(in3.contains(1), "then-side const may reach join");
-        // Into bb2, the const of bb1 does not reach.
-        assert!(!sol.ins[2].contains(1));
     }
 
     #[test]

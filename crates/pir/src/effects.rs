@@ -1,7 +1,7 @@
 //! Conservative alias and memory-effects analysis.
 //!
-//! The equivalence checker ([`crate::equiv`]) and the lint layer both need
-//! answers to two questions about memory the verifier cannot give:
+//! The equivalence checker ([`crate::equiv`]) needs answers to two
+//! questions about memory the verifier cannot give:
 //!
 //! * **Where may this address point?** Every register gets a *points-to
 //!   class* ([`PtClass`]): derived from a specific global, derived from a
@@ -20,10 +20,10 @@
 //! in this crate — the equivalence checker only relies on effect
 //! *emptiness* (`writes` empty ⇒ the callee executes no store at all, which
 //! holds regardless of how store addresses were classified, because every
-//! store inserts at least the unknown region), and the lint pass is
-//! advisory. Region *disjointness* ([`RegionSet::may_overlap`]) is
-//! conservative in the other direction: parameters and unknown regions
-//! overlap everything, so "no overlap" claims are trustworthy.
+//! store inserts at least the unknown region). Region *disjointness*
+//! ([`RegionSet::may_overlap`]) is conservative in the other direction:
+//! parameters and unknown regions overlap everything, so "no overlap"
+//! claims are trustworthy.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeSet, HashMap};
@@ -385,14 +385,6 @@ impl ModuleEffects {
         self.funcs[func.index()].writes.is_empty()
     }
 
-    /// True if calling `func` is invisible to memory, the OS, and the
-    /// application-metric channels (it may still read memory and warm
-    /// caches).
-    pub fn observably_pure(&self, func: FuncId) -> bool {
-        let e = &self.funcs[func.index()];
-        e.writes.is_empty() && !e.reports && !e.waits
-    }
-
     /// The effect of one instruction of `func`, folding in the callee's
     /// transitive summary for calls.
     pub fn inst_effect(&self, func: FuncId, inst: &Inst) -> InstEffect {
@@ -671,10 +663,10 @@ mod tests {
         noisy.ret(None);
         let noisy_id = m.add_function(noisy.finish());
         let me = ModuleEffects::analyze(&m);
-        assert!(me.observably_pure(pure_id));
+        let pure = me.func(pure_id);
+        assert!(pure.writes.is_empty() && !pure.reports && !pure.waits);
         assert!(me.writes_nothing(noisy_id));
-        assert!(!me.observably_pure(noisy_id), "reports are observable");
-        assert!(me.func(noisy_id).reports);
+        assert!(me.func(noisy_id).reports, "reports are observable");
     }
 
     #[test]
@@ -720,6 +712,6 @@ mod tests {
         let fid = m.add_function(f.finish());
         let me = ModuleEffects::analyze(&m);
         assert!(me.func(fid).writes.may_touch_global(g));
-        assert!(!me.observably_pure(fid));
+        assert!(!me.writes_nothing(fid));
     }
 }

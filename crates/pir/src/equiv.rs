@@ -1591,8 +1591,8 @@ impl fmt::Display for TransferRecipe {
     }
 }
 
-/// Why an OSR transfer could not be proved, typed so lints and the gate
-/// can report refusals without string matching.
+/// Why an OSR transfer could not be proved, typed so the OSR controller
+/// and the fuzz harnesses can report refusals without string matching.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TransferRefusal {
     /// No header correspondence could be established.

@@ -218,7 +218,7 @@ impl Inst {
     }
 
     /// Calls `f` on every register this instruction *reads*, in operand
-    /// order. The single traversal every analysis and lint pass shares.
+    /// order. The single traversal every analysis shares.
     pub fn for_each_use(&self, mut f: impl FnMut(Reg)) {
         match self {
             Inst::Bin { lhs, rhs, .. } => {

@@ -15,8 +15,7 @@
 //! * an ergonomic [`builder::FunctionBuilder`],
 //! * a structural [`verify`](verify::verify_module) pass,
 //! * CFG construction, dominators, and a generic worklist dataflow engine
-//!   ([`dataflow`]) with reaching-definitions, liveness, and
-//!   definite-assignment instances,
+//!   ([`dataflow`]) with liveness and definite-assignment instances,
 //! * a conservative alias/memory-effects analysis ([`effects`]) with
 //!   points-to classes for globals and parameters,
 //! * an abstract-interpretation engine ([`absint`]) — intervals, known
@@ -29,7 +28,6 @@
 //!   simulation prover for OSR transfer recipes,
 //! * loop-header matching between baseline and variant ([`osr_map`]) —
 //!   the structural half of the OSR-transfer proof obligation,
-//! * a diagnostic lint layer ([`lint`]) over those analyses,
 //! * dominator-based natural-loop analysis ([`loops`]) used by PC3D's
 //!   "innermost loops only" search heuristic,
 //! * load-site enumeration ([`analysis`]) — the unit of PC3D's variant
@@ -71,7 +69,6 @@ pub mod equiv;
 pub mod ids;
 pub mod inst;
 pub mod interp;
-pub mod lint;
 pub mod loops;
 pub mod module;
 pub mod osr_map;

@@ -55,8 +55,8 @@ impl OsrMap {
     }
 }
 
-/// Why no header correspondence could be established. Typed so the lint
-/// layer and the gate can report refusals without string matching.
+/// Why no header correspondence could be established. Typed so the OSR
+/// prover and its callers can report refusals without string matching.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum MapRefusal {
     /// The two sides declare different parameter counts; frames are not

@@ -3,9 +3,8 @@
 //!
 //! Call-edge (EVT) dispatch only takes effect the *next* time a function
 //! is entered — structurally blind on a thread stuck inside one enormous
-//! loop. The [`OsrController`] closes that gap with the runtime half of
-//! ROADMAP item 3: when a gate-proved variant exists and PC samples show
-//! the host pinned in a certified loop, it
+//! loop. The [`OsrController`] closes that gap: when a gate-proved variant
+//! exists and PC samples show the host pinned in a certified loop, it
 //!
 //! 1. **arms** a park request at the baseline loop-header PC (resolved
 //!    through `pcc` link metadata + [`pcc::block_offsets`]), bounded by
@@ -99,7 +98,7 @@ pub enum OsrError {
         /// The function whose transfer was vetoed.
         func: FuncId,
     },
-    /// The variant has no gate-proved transfer recipe for any certified
+    /// The variant has no proved transfer recipe for any certified
     /// header of the function.
     NoProvedRecipe {
         /// The function considered.
@@ -111,7 +110,7 @@ pub enum OsrError {
         /// The function considered.
         func: FuncId,
     },
-    /// An arm/deopt request raced an operation already in flight.
+    /// An arm request raced an operation already in flight.
     Busy {
         /// The controller phase that blocked the request.
         phase: &'static str,
@@ -176,7 +175,7 @@ impl fmt::Display for OsrError {
                 )
             }
             OsrError::NoProvedRecipe { func } => {
-                write!(f, "no gate-proved OSR transfer recipe for {func}")
+                write!(f, "no proved OSR transfer recipe for {func}")
             }
             OsrError::AllHeadersQuarantined { func } => {
                 write!(f, "every provable OSR header of {func} is quarantined")
@@ -267,7 +266,7 @@ struct Probation {
     resumed_at: u64,
     baseline_pc: u32,
     variant_pc: u32,
-    /// A deopt was requested; the context is being parked at the variant
+    /// A deopt is under way; the context is being parked at the variant
     /// header.
     deopt_armed: bool,
 }
@@ -384,7 +383,7 @@ impl OsrController {
     }
 
     /// Arms a park request at the first non-quarantined certified header
-    /// of `func` that has a gate-proved transfer into `variant`.
+    /// of `func` that has a proved transfer into `variant`.
     ///
     /// # Errors
     ///
@@ -408,7 +407,8 @@ impl OsrController {
         if !health.allows_osr() {
             return Err(OsrError::HealthVeto { func });
         }
-        let recipes = self.proved_recipes(rt, func, variant);
+        let now = os.now();
+        let recipes = self.proved_recipes(rt, now, func, variant);
         if recipes.is_empty() {
             return Err(OsrError::NoProvedRecipe { func });
         }
@@ -422,7 +422,6 @@ impl OsrController {
             return Err(OsrError::NoProvedRecipe { func });
         };
         let checksum = recipe_checksum(&recipe);
-        let now = os.now();
         // An injected arm stall drops the machine-level request; the
         // controller still believes it armed, so the bounded window
         // expires and the request abandons cleanly — exactly the failure
@@ -451,31 +450,9 @@ impl OsrController {
         Ok(())
     }
 
-    /// Requests a deoptimization of the transfer currently on probation
-    /// (the owning policy layer's QoS-regression signal). The thread is
-    /// parked at the *variant* header and unwound on a later
-    /// [`tick`](OsrController::tick).
-    ///
-    /// # Errors
-    ///
-    /// [`OsrError::Busy`] when no transfer is on probation.
-    pub fn request_deopt(&mut self, os: &mut Os, rt: &Runtime) -> Result<(), OsrError> {
-        match &mut self.phase {
-            Phase::Probation(p) if !p.deopt_armed => {
-                os.osr_arm(rt.pid(), p.variant_pc, 1);
-                p.deopt_armed = true;
-                Ok(())
-            }
-            Phase::Probation(_) => Ok(()),
-            _ => Err(OsrError::Busy {
-                phase: self.phase_name(),
-            }),
-        }
-    }
-
     /// Advances the state machine: abandons expired arming windows,
     /// verifies + applies + resumes parked transfers, expires probation,
-    /// and unwinds requested deopts. Call once per controller tick.
+    /// and unwinds probation deopts. Call once per controller tick.
     /// Returns the typed failure it handled this tick, if any (the
     /// failure is already fully resolved — abandon, restore, or
     /// quarantine — when this returns).
@@ -832,11 +809,15 @@ impl OsrController {
         }
     }
 
-    /// Gate-proved transfer recipes for `variant`, memoized per variant
-    /// index (verdicts are immutable once the variant is compiled).
+    /// Proved transfer recipes for `variant`, memoized per variant index
+    /// (verdicts are immutable once the variant is compiled). The first
+    /// proof of each variant adds its split to `osr.transfer_proved`,
+    /// `osr.transfer_refuted` and `osr.transfer_unproved` and emits one
+    /// [`EventKind::OsrTransfer`] event.
     fn proved_recipes(
         &mut self,
-        rt: &Runtime,
+        rt: &mut Runtime,
+        now: u64,
         func: FuncId,
         variant: usize,
     ) -> Vec<TransferRecipe> {
@@ -854,6 +835,21 @@ impl OsrController {
             &rec.ir,
             &meta.osr,
             &meta.osr_recipes,
+        );
+        let m = rt.metrics_mut();
+        m.add("osr.transfer_proved", summary.proved() as u64);
+        m.add("osr.transfer_refuted", summary.refuted as u64);
+        m.add("osr.transfer_unproved", summary.unproved as u64);
+        rt.tracer_mut().emit(
+            now,
+            Subsystem::Runtime,
+            EventKind::OsrTransfer {
+                func: u64::from(func.0),
+                variant: variant as u64,
+                proved: summary.proved() as u64,
+                refuted: summary.refuted as u64,
+                unproved: summary.unproved as u64,
+            },
         );
         self.recipe_cache.insert(variant, summary.recipes.clone());
         summary.recipes

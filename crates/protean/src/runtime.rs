@@ -243,9 +243,9 @@ impl Runtime {
                 funcs,
             },
         );
-        // Surface the OSR anchors pcc embedded (ROADMAP item 3): the
-        // future OSR runtime consumes them; until then they are the
-        // attach-time measure of how migratable the module is.
+        // Surface the OSR anchors pcc embedded: the attach-time measure of
+        // how migratable the module is. The OSR controller reads the same
+        // certificates and recipes when it arms a transfer.
         let certified = rt.meta.osr.len() as u64;
         rt.metrics
             .set_gauge("gate.osr_certified_points", certified as f64);
@@ -668,42 +668,9 @@ impl Runtime {
     /// plus one [`EventKind::AbsintConsult`] event. The absint/effects
     /// fixpoint-cache traffic is left out: the caches are process-wide,
     /// so it depends on what the process vetted before.
-    ///
-    /// A body the gate admits is additionally vetted for *mid-loop*
-    /// switchability: every certified OSR header of the function is run
-    /// through the cut-point transfer prover
-    /// ([`safety::vet_osr_transfers`](crate::safety::vet_osr_transfers)),
-    /// and the split is surfaced as `gate.osr_transfer_*` counters plus
-    /// one [`EventKind::OsrTransfer`] event.
     fn vet(&mut self, now: u64, func: FuncId, variant: u64, ir: &Function) -> VariantVerdict {
         let facts0 = pir::interval_disjoint_facts();
         let verdict = crate::safety::vet_variant(&self.meta.module, func, ir);
-        if verdict.is_safe() && self.meta.osr.iter().any(|c| c.func == func) {
-            let summary = crate::safety::vet_osr_transfers(
-                &self.meta.module,
-                func,
-                ir,
-                &self.meta.osr,
-                &self.meta.osr_recipes,
-            );
-            self.metrics
-                .add("gate.osr_transfer_proved", summary.proved() as u64);
-            self.metrics
-                .add("gate.osr_transfer_refuted", summary.refuted as u64);
-            self.metrics
-                .add("gate.osr_transfer_unproved", summary.unproved as u64);
-            self.tracer.emit(
-                now,
-                Subsystem::Gate,
-                EventKind::OsrTransfer {
-                    func: u64::from(func.0),
-                    variant,
-                    proved: summary.proved() as u64,
-                    refuted: summary.refuted as u64,
-                    unproved: summary.unproved as u64,
-                },
-            );
-        }
         let facts = pir::interval_disjoint_facts() - facts0;
         self.metrics.add("gate.absint_disjoint_facts", facts);
         self.tracer.emit(
@@ -1266,40 +1233,6 @@ mod tests {
         assert!(consults > 0, "vet should touch the absint cache");
         let jsonl = rt.trace_jsonl(&os);
         assert!(jsonl.contains("absint-consult"), "{jsonl}");
-    }
-
-    #[test]
-    fn vet_surfaces_osr_transfer_provability() {
-        let (mut os, _, mut rt) = setup(8);
-        assert!(
-            !rt.meta().osr.is_empty(),
-            "the worker loop should carry an OSR certificate"
-        );
-        assert!(
-            !rt.meta().osr_recipes.is_empty(),
-            "pcc should embed self-transfer recipes"
-        );
-        assert_eq!(
-            rt.metrics().gauge("gate.osr_transfer_recipes"),
-            Some(rt.meta().osr_recipes.len() as f64)
-        );
-        rt.tracer_mut().set_enabled(true);
-        let worker = rt.module().function_by_name("worker").unwrap();
-        // A locality variant: shape-identical, so the embedded recipes
-        // are inherited and every certified header counts as proved.
-        let sites: Vec<_> = pir::load_sites(rt.module())
-            .iter()
-            .map(|s| s.site)
-            .filter(|s| s.func == worker)
-            .collect();
-        let ir = NtAssignment::all(sites).apply_to(rt.module().function(worker), worker);
-        let idx = rt.install_variant_ir(&mut os, worker, ir).unwrap();
-        rt.dispatch(&mut os, idx).unwrap();
-        let proved = rt.metrics().counter("gate.osr_transfer_proved");
-        assert!(proved > 0, "transfer into the locality variant proves");
-        assert_eq!(rt.metrics().counter("gate.osr_transfer_refuted"), 0);
-        let jsonl = rt.trace_jsonl(&os);
-        assert!(jsonl.contains("osr-transfer"), "{jsonl}");
     }
 
     #[test]

@@ -271,9 +271,10 @@ pub enum EventKind {
         /// Loop headers that received a certificate.
         certified: u64,
     },
-    /// OSR transfer provability summary for one vetted variant: how many
-    /// certified headers of the function could be switched mid-loop into
-    /// this variant under a proved live-state recipe.
+    /// OSR transfer provability summary for one variant, emitted when the
+    /// OSR controller first proves transfers into it: how many certified
+    /// headers of the function could be switched mid-loop into this
+    /// variant under a proved live-state recipe.
     OsrTransfer {
         /// Function index.
         func: u64,

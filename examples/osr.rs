@@ -1,6 +1,6 @@
 //! Live OSR demo: a thread stuck inside one enormous streaming loop
 //! adopts an NT variant *mid-flight* — parked at the certified loop
-//! header, frame transferred by the gate-proved recipe, resumed at the
+//! header, frame transferred by the proved recipe, resumed at the
 //! matched variant header — then a fault-injected run shows the guarded
 //! deopt path rolling a perturbed transfer back without a trace of it in
 //! architectural state.

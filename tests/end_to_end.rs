@@ -152,9 +152,6 @@ fn edge_policies_are_semantically_equivalent() {
         let opts = Options {
             protean: true,
             edge_policy: policy,
-            embed_ir: true,
-            optimize: false,
-            ..Options::protean()
         };
         let image = Compiler::new(opts).compile(&m).unwrap().image;
         let (os, pid) = run_to_halt(&image);

@@ -1,7 +1,8 @@
 //! Live OSR engine, end to end on real images: park / transfer / resume
 //! with the `pir` interpreter as the semantic oracle, bit-identity when
-//! the arming window expires, and the first-exec-lag advantage over
-//! call-edge-only dispatch on the single-long-loop workload.
+//! the arming window expires, one counted transfer proof per variant,
+//! and the first-exec-lag advantage over call-edge-only dispatch on the
+//! single-long-loop workload.
 
 use pcc::{Compiler, NtAssignment, Options};
 use pir::interp::{run_with_transfer, OsrTransferSpec};
@@ -306,6 +307,52 @@ fn expired_osr_window_is_bit_identical_to_no_osr() {
         long_loop_fingerprint(&Regime::ArmedButExpires),
         baseline,
         "an armed-then-expired window must leave execution untouched"
+    );
+}
+
+// ---------------------------------------------------------------------
+// Transfer proofs: counted by the controller, once per variant
+// ---------------------------------------------------------------------
+
+#[test]
+fn transfer_proofs_are_counted_once_per_variant() {
+    let module = oracle_module(20_000);
+    let (mut os, _, mut rt) = spawn_attached(&module);
+    rt.tracer_mut().set_enabled(true);
+    let spin = rt.module().function_by_name("spin").unwrap();
+    let certified = rt.meta().osr.iter().filter(|c| c.func == spin).count() as u64;
+    assert!(certified > 0, "spin's loop header must be certified");
+    let mut health = HealthMonitor::new(HealthConfig::default());
+    // The park target is unreachable and the window one cycle, so every
+    // arm expires on the next tick.
+    let mut ctl = OsrController::new(OsrConfig {
+        park_hit: u64::MAX,
+        stuck_samples: 1,
+        arm_window_cycles: 1,
+        ..OsrConfig::default()
+    });
+    let nt = nt_for(rt.module(), spin);
+    let idx = rt.compile_variant(&mut os, spin, &nt).unwrap();
+    for _ in 0..2 {
+        ctl.arm(&mut os, &mut rt, &mut health, spin, idx)
+            .expect("arming must succeed");
+        os.advance(1_000);
+        assert!(
+            ctl.tick(&mut os, &mut rt, &mut health).is_some(),
+            "the arming window must expire"
+        );
+        assert_eq!(ctl.phase_name(), "idle");
+    }
+    let m = rt.metrics();
+    assert_eq!(m.counter("osr.armed"), 2);
+    assert_eq!(m.counter("osr.transfer_proved"), certified);
+    assert_eq!(m.counter("osr.transfer_refuted"), 0);
+    assert_eq!(m.counter("osr.transfer_unproved"), 0);
+    let jsonl = rt.trace_jsonl(&os);
+    assert_eq!(
+        jsonl.matches("\"osr-transfer\"").count(),
+        1,
+        "one transfer proof per variant:\n{jsonl}"
     );
 }
 

@@ -262,9 +262,9 @@ fn proved_recipes_cover_most_certified_headers() {
 
 /// A protean compile proves a transfer per certified header, but its
 /// analysis lookups follow the module's functions, not its certificates:
-/// one effects lookup per batch of proofs (a second when
-/// `check_invariants` re-proves the embedded recipes), and a small
-/// multiple of the function count in abstract-state lookups.
+/// one effects lookup per batch of proofs (a second when a debug build
+/// re-proves the embedded recipes), and a small multiple of the function
+/// count in abstract-state lookups.
 #[test]
 fn protean_compile_lookups_do_not_grow_with_certificates() {
     let m = catalog::build("milc", LLC_LINES).expect("milc");
@@ -274,15 +274,14 @@ fn protean_compile_lookups_do_not_grow_with_certificates() {
         certs > funcs,
         "milc has {certs} certificates in {funcs} functions"
     );
-    let opts = pcc::Options::protean();
     let lookups = |s: pir::CacheStats| s.hits + s.misses;
     let (fx0, ab0) = (pir::effects::cache_stats(), absint::cache_stats());
-    pcc::Compiler::new(opts)
+    pcc::Compiler::new(pcc::Options::protean())
         .compile(&m)
         .expect("protean compile");
     let fx = lookups(pir::effects::cache_stats()) - lookups(fx0);
     let ab = lookups(absint::cache_stats()) - lookups(ab0);
-    let batches = 1 + u64::from(opts.check_invariants);
+    let batches = 1 + u64::from(cfg!(debug_assertions));
     assert_eq!(fx, batches, "effects lookups for {certs} certificates");
     assert!(
         ab <= 2 * batches * funcs,
